@@ -187,6 +187,17 @@ HvKMeansResult HvKMeans::run_impl(
     }
   }
 
+  // The labels the centroids currently sum over. Equal to
+  // result.assignment after every update step and reseed, so the next
+  // delta update moves exactly the points the assignment step changed.
+  std::vector<std::uint32_t> centroid_labels;
+  // Reseed source subtracts (point, source cluster), queued by one
+  // iteration's reseeds and applied at the start of the next update
+  // step: until then the source keeps the point's mass, so the next
+  // assignment sees the same centroids a from-scratch rebuild left.
+  std::vector<std::pair<std::size_t, std::uint32_t>> pending_reseed_subs;
+  result.moved_per_iteration.reserve(config_.iterations);
+
   std::vector<double> distance_to_own(n, 0.0);
   // Majority-binarized centroids for the Hamming variant; every row is
   // fully overwritten at the top of each iteration.
@@ -209,7 +220,7 @@ HvKMeansResult HvKMeans::run_impl(
   std::vector<std::span<const std::uint64_t>> binary_centroid_rows(k);
 
   for (std::size_t iter = 0; iter < config_.iterations; ++iter) {
-    const obs::SpanScope iter_span("kmeans_iter", "core", "iter", iter);
+    obs::SpanScope iter_span("kmeans_iter", "core", "iter", iter);
     if (config_.distance == ClusterDistance::kHamming) {
       for (std::size_t c = 0; c < k; ++c) {
         const auto majority = result.centroids[c].to_majority();
@@ -548,51 +559,85 @@ HvKMeansResult HvKMeans::run_impl(
       }
     }
 
-    // --- Update step: rebuild weighted centroid sums. Each chunk
-    // accumulates its contiguous slice of points into its own bank of
-    // partial centroids; the banks are then merged in chunk order.
-    // Integer adds commute exactly, so the reduced centroids (and every
-    // label derived from them) match the sequential loop bit for bit at
-    // any thread count. ---
-    for (auto& centroid : result.centroids) {
-      centroid.clear();
-    }
-    std::fill(result.cluster_weights.begin(), result.cluster_weights.end(),
-              std::uint64_t{0});
-    if (update_chunks <= 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t c = result.assignment[i];
-        result.centroids[c].add(points.row(i), weight_of(i));
-        result.cluster_weights[c] += weight_of(i);
+    // --- Update step. Centroids persist across iterations as exact
+    // integer sums, so only the points whose label changed need to
+    // move: each is subtracted from its old centroid and added to its
+    // new one, in index order. Iteration 0 (the centroids are still the
+    // seeds) and any iteration where at least half the points moved
+    // rebuild from scratch instead, which is then no more work than the
+    // delta. The rebuild accumulates each chunk's contiguous slice of
+    // points into its own bank of partial centroids and merges the
+    // banks in chunk order. Integer adds commute exactly, so both paths
+    // leave bit-identical centroids (and every label derived from them)
+    // at any thread count. ---
+    const std::uint64_t moved = changed.load();
+    const bool rebuild = iter == 0 || 2 * moved >= n;
+    result.moved_per_iteration.push_back(moved);
+    iter_span.arg("moved", moved);
+    iter_span.label("update", rebuild ? "rebuild" : "delta");
+    if (rebuild) {
+      for (auto& centroid : result.centroids) {
+        centroid.clear();
       }
-    } else {
-      pool.parallel_for(
-          0, update_chunks,
-          [&](std::size_t chunk) {
-            auto& centroids = partial_centroids[chunk];
-            auto& chunk_weights = partial_weights[chunk];
-            for (auto& centroid : centroids) {
-              centroid.clear();
-            }
-            std::fill(chunk_weights.begin(), chunk_weights.end(),
-                      std::uint64_t{0});
-            const std::size_t lo = chunk * n / update_chunks;
-            const std::size_t hi = (chunk + 1) * n / update_chunks;
-            for (std::size_t i = lo; i < hi; ++i) {
-              const std::uint32_t c = result.assignment[i];
-              centroids[c].add(points.row(i), weight_of(i));
-              chunk_weights[c] += weight_of(i);
-            }
-          },
-          /*grain=*/1);
-      for (std::size_t chunk = 0; chunk < update_chunks; ++chunk) {
-        for (std::size_t c = 0; c < k; ++c) {
-          result.centroids[c].merge(partial_centroids[chunk][c]);
-          result.cluster_weights[c] += partial_weights[chunk][c];
+      std::fill(result.cluster_weights.begin(), result.cluster_weights.end(),
+                std::uint64_t{0});
+      if (update_chunks <= 1) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint32_t c = result.assignment[i];
+          result.centroids[c].add(points.row(i), weight_of(i));
+          result.cluster_weights[c] += weight_of(i);
+        }
+      } else {
+        pool.parallel_for(
+            0, update_chunks,
+            [&](std::size_t chunk) {
+              auto& centroids = partial_centroids[chunk];
+              auto& chunk_weights = partial_weights[chunk];
+              for (auto& centroid : centroids) {
+                centroid.clear();
+              }
+              std::fill(chunk_weights.begin(), chunk_weights.end(),
+                        std::uint64_t{0});
+              const std::size_t lo = chunk * n / update_chunks;
+              const std::size_t hi = (chunk + 1) * n / update_chunks;
+              for (std::size_t i = lo; i < hi; ++i) {
+                const std::uint32_t c = result.assignment[i];
+                centroids[c].add(points.row(i), weight_of(i));
+                chunk_weights[c] += weight_of(i);
+              }
+            },
+            /*grain=*/1);
+        for (std::size_t chunk = 0; chunk < update_chunks; ++chunk) {
+          for (std::size_t c = 0; c < k; ++c) {
+            result.centroids[c].merge(partial_centroids[chunk][c]);
+            result.cluster_weights[c] += partial_weights[chunk][c];
+          }
         }
       }
+      centroid_labels = result.assignment;
+      pending_reseed_subs.clear();
+      result.ops.centroid_update_adds += static_cast<std::uint64_t>(n) * dim;
+    } else {
+      for (const auto& [i, source] : pending_reseed_subs) {
+        result.centroids[source].sub(points.row(i), weight_of(i));
+      }
+      std::uint64_t adds = pending_reseed_subs.size();
+      pending_reseed_subs.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t from = centroid_labels[i];
+        const std::uint32_t to = result.assignment[i];
+        if (from == to) {
+          continue;
+        }
+        result.centroids[from].sub(points.row(i), weight_of(i));
+        result.centroids[to].add(points.row(i), weight_of(i));
+        result.cluster_weights[from] -= weight_of(i);
+        result.cluster_weights[to] += weight_of(i);
+        centroid_labels[i] = to;
+        adds += 2;
+      }
+      result.ops.centroid_update_adds += adds * dim;
     }
-    result.ops.centroid_update_adds += static_cast<std::uint64_t>(n) * dim;
 
     // --- Empty-cluster repair: reseed with the point farthest from its
     // own centroid (deterministic: highest distance, lowest index). ---
@@ -612,13 +657,16 @@ HvKMeansResult HvKMeans::run_impl(
       }
       const std::uint32_t old_cluster = result.assignment[farthest];
       result.assignment[farthest] = static_cast<std::uint32_t>(c);
-      // Move the point's mass between clusters. Rebuilding the source
-      // centroid exactly would need a subtract; reseeding is rare and
-      // the next iteration rebuilds all centroids anyway, so only the
-      // destination is patched here.
+      centroid_labels[farthest] = static_cast<std::uint32_t>(c);
+      // Move the point's mass between clusters. The destination gains
+      // it now, so the next assignment sees the reseeded direction. The
+      // source subtract is queued for the next update step: the next
+      // assignment still sees the point's mass in the source, and a
+      // reseed in the final iteration leaves it there.
       result.centroids[c].add(points.row(farthest), weight_of(farthest));
       result.cluster_weights[c] += weight_of(farthest);
       result.cluster_weights[old_cluster] -= weight_of(farthest);
+      pending_reseed_subs.emplace_back(farthest, old_cluster);
       ++result.reseeds;
     }
     result.iterations_run = iter + 1;

@@ -15,9 +15,13 @@
 // fused AND+popcount passes through the dispatched SIMD backend instead
 // of walking set bits serially — the integer dot, and therefore every
 // label, is bit-identical to the serial formulation; (3) the update step
-// accumulates per-chunk partial centroids in parallel and reduces them
-// in fixed order — integer sums are order-independent, so assignments
-// and centroids are bit-identical for every thread count; (4) at large
+// keeps the centroids alive across iterations and moves only the points
+// whose label changed (subtract from the old sum, add to the new one),
+// rebuilding from scratch — per-chunk partial centroids in parallel,
+// reduced in fixed order — only in iteration 0 and when at least half
+// the points moved. Integer sums are exact and order-independent, so
+// assignments and centroids are bit-identical to a rebuild every
+// iteration, at every thread count; (4) at large
 // cluster counts the assignment prunes candidates it can prove are not
 // the nearest (per-centroid norm bounds, plus early-exit bounded
 // kernels that abort a scan once the running distance loses to the
@@ -79,6 +83,10 @@ struct HvKMeansResult {
   /// Total member weight per cluster after the final assignment.
   std::vector<std::uint64_t> cluster_weights;
   std::size_t iterations_run = 0;
+  /// Points whose label changed in each iteration's assignment step
+  /// (iteration 0 compares against the all-zero initial labels), one
+  /// entry per iteration run. The update step moves exactly these.
+  std::vector<std::uint64_t> moved_per_iteration;
   /// True when the run ended because assignments stopped changing.
   bool converged = false;
   /// Number of empty-cluster reseeds performed.
@@ -96,6 +104,9 @@ struct HvKMeansResult {
   /// distance whose dot/scan actually ran (so the exhaustive total is
   /// the classic n*k*dim), and `words_scanned` counts the words the
   /// assignment kernels actually streamed, partial scans included.
+  /// `centroid_update_adds` is measured too: `dim` per row the update
+  /// step added or subtracted — n rows for a rebuild, two per moved
+  /// point plus one per queued reseed subtract for a delta update.
   OpCounts ops;
 };
 

@@ -15,7 +15,11 @@ struct OpCounts {
   std::uint64_t bind_xor_bits = 0;       ///< XOR binding work
   std::uint64_t popcount_bits = 0;       ///< popcount/Hamming work
   std::uint64_t dot_adds = 0;            ///< centroid dot-product adds
-  std::uint64_t centroid_update_adds = 0;///< centroid accumulation adds
+  /// Centroid accumulation adds, measured: `dim` per row the K-Means
+  /// update actually added or subtracted (a full rebuild is n rows, a
+  /// delta update two per moved point). analytic_seghdc_ops below keeps
+  /// the paper's model of a full rebuild every iteration.
+  std::uint64_t centroid_update_adds = 0;
   std::uint64_t distance_evals = 0;      ///< point-centroid distances
   /// (point, centroid) pairs the assignment step skipped without a full
   /// distance: norm-bound skips plus early-exited bounded-kernel scans.
@@ -40,7 +44,9 @@ OpCounts operator+(OpCounts lhs, const OpCounts& rhs);
 
 /// Analytic per-pixel op counts of a SegHDC run *without* deduplication —
 /// the cost structure of the paper's reference implementation, which the
-/// device latency model is calibrated against.
+/// device latency model is calibrated against. Its centroid_update_adds
+/// assumes every centroid is rebuilt from all pixels every iteration,
+/// unlike the measured counter of a real run.
 OpCounts analytic_seghdc_ops(std::size_t pixels, std::size_t dim,
                              std::size_t clusters, std::size_t iterations);
 

@@ -42,6 +42,18 @@ class Accumulator {
   void add(std::span<const std::uint64_t> packed_bits,
            std::uint32_t weight = 1);
 
+  /// The exact inverse of add(packed_bits, weight): counts[i] -= weight
+  /// for every set bit i, on the same dispatched kernel at weight
+  /// -weight, with the same incremental sum of squares and the weight
+  /// taken off the total. Integer arithmetic keeps counts, norm(), and
+  /// to_majority() exactly what they were before the matching add —
+  /// which is what lets the K-Means update move one point between
+  /// centroids instead of rebuilding them. The caller guarantees the
+  /// row was added with at least this weight (not checked per
+  /// component); a weight above total_weight() throws.
+  void sub(std::span<const std::uint64_t> packed_bits,
+           std::uint32_t weight = 1);
+
   /// Component-wise sum with another accumulator of the same dimension:
   /// counts, total weight, and the incremental norm all merge exactly.
   /// Integer sums are order-independent, which is what lets the K-Means
@@ -84,6 +96,11 @@ class Accumulator {
   HyperVector to_majority() const;
 
  private:
+  /// Shared body of add/sub: counts[i] += weight over the set bits,
+  /// with the sum of squares kept exact. Leaves total_weight_ alone.
+  void accumulate(std::span<const std::uint64_t> packed_bits,
+                  std::int64_t weight);
+
   std::vector<std::int64_t> counts_;
   std::uint64_t total_weight_ = 0;
   // Norm bookkeeping: kept incrementally so the clusterer's per-point

@@ -87,7 +87,8 @@ std::int64_t dot_counts_words(std::span<const std::int64_t> counts,
 /// word-blocked on the dispatched backend. Returns the sum of the
 /// pre-add counts over those bits (the old-counts dot), which is what
 /// Accumulator::add needs to keep its incremental norm exact in the
-/// same pass. Same span contract as dot_counts_words.
+/// same pass. A negative weight is the exact inverse (Accumulator::sub).
+/// Same span contract as dot_counts_words.
 std::int64_t accumulate_counts_words(std::span<std::int64_t> counts,
                                      std::span<const std::uint64_t> words,
                                      std::int64_t weight);

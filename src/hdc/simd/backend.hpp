@@ -124,7 +124,8 @@ struct KernelBackend {
   std::int64_t (*dot_counts)(std::span<const std::int64_t> counts,
                              std::span<const std::uint64_t> words);
   /// Fused weighted accumulate — the K-Means centroid-update primitive:
-  /// counts[i] += weight for every set bit i of `words`, word-blocked
+  /// counts[i] += weight for every set bit i of `words` (weight may be
+  /// negative: Accumulator::sub runs the same kernel), word-blocked
   /// (masked lane adds instead of a bit-serial set-bit walk). Returns
   /// the sum of the PRE-add counts over those same bits (the dot of the
   /// old counts with `words`), so Accumulator::add maintains its

@@ -170,10 +170,21 @@ void write_trace_json(std::ostream& out, const std::vector<TraceEvent>& events,
     std::snprintf(buffer, sizeof(buffer), "%.3f",
                   static_cast<double>(event.dur_ns) / 1e3);
     out << buffer << ",\"pid\":1,\"tid\":" << event.tid;
-    if (event.arg1_key != nullptr) {
-      out << ",\"args\":{\"" << event.arg1_key << "\":" << event.arg1_value;
+    if (event.arg1_key != nullptr || event.label_key != nullptr) {
+      const char* separator = "";
+      out << ",\"args\":{";
+      if (event.arg1_key != nullptr) {
+        out << "\"" << event.arg1_key << "\":" << event.arg1_value;
+        separator = ",";
+      }
       if (event.arg2_key != nullptr) {
-        out << ",\"" << event.arg2_key << "\":" << event.arg2_value;
+        out << separator << "\"" << event.arg2_key
+            << "\":" << event.arg2_value;
+        separator = ",";
+      }
+      if (event.label_key != nullptr) {
+        out << separator << "\"" << event.label_key << "\":\""
+            << event.label_value << "\"";
       }
       out << "}";
     }

@@ -1,6 +1,7 @@
 // Lock-cheap span tracer: the "where did this one request spend its
 // time?" layer of the serving stack. RAII SpanScopes record complete
-// events (name, category, start, duration, up to two integer args) into
+// events (name, category, start, duration, up to two integer args and
+// one string label) into
 // per-thread ring buffers; a TraceSession turns the tracer on, collects
 // every buffer, and exports Chrome-trace/Perfetto JSON that loads
 // directly into chrome://tracing or https://ui.perfetto.dev.
@@ -55,6 +56,10 @@ struct TraceEvent {
   std::uint64_t arg1_value = 0;
   const char* arg2_key = nullptr;
   std::uint64_t arg2_value = 0;
+  /// One string-valued arg (both pointers string literals), for a
+  /// decision that reads as a word rather than a number.
+  const char* label_key = nullptr;
+  const char* label_value = nullptr;
 };
 
 namespace detail {
@@ -154,6 +159,15 @@ class SpanScope {
     } else if (event_.arg2_key == nullptr) {
       event_.arg2_key = key;
       event_.arg2_value = value;
+    }
+  }
+
+  /// Attaches the string-valued label arg (key and value both string
+  /// literals); a second call overwrites the first.
+  void label(const char* key, const char* value) {
+    if (active_) {
+      event_.label_key = key;
+      event_.label_value = value;
     }
   }
 

@@ -179,4 +179,23 @@ std::vector<std::size_t> Cli::parse_size_list(const std::string& spec,
   return values;
 }
 
+std::pair<std::size_t, std::size_t> Cli::parse_wxh(const std::string& spec) {
+  // Each side goes through the strict list parser (digits only, no zero,
+  // no overflow); refusing the list separators up front makes each side
+  // exactly one number. A second 'x' fails the height's digit check.
+  const std::size_t x = spec.find('x');
+  if (x == std::string::npos ||
+      spec.find_first_of(", \t") != std::string::npos) {
+    throw std::invalid_argument("size '" + spec + "' must be WxH");
+  }
+  const auto side = [&](const std::string& token) {
+    const auto values = parse_size_list(token, /*allow_zero=*/false);
+    if (values.size() != 1) {
+      throw std::invalid_argument("size '" + spec + "' must be WxH");
+    }
+    return values[0];
+  };
+  return {side(spec.substr(0, x)), side(spec.substr(x + 1))};
+}
+
 }  // namespace seghdc::util

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace seghdc::util {
@@ -58,6 +59,13 @@ class Cli {
   /// exactly the list it was given, never a silently filtered one.
   static std::vector<std::size_t> parse_size_list(const std::string& spec,
                                                   bool allow_zero = true);
+
+  /// Parses an image size "WxH" (e.g. "320x240") into {W, H}. Both sides
+  /// must be positive decimal integers that fit size_t, joined by one
+  /// lowercase 'x'; anything else ("320x", "x240", "0x5", "320x240x1",
+  /// an overflowing side) throws std::invalid_argument.
+  static std::pair<std::size_t, std::size_t> parse_wxh(
+      const std::string& spec);
 
  private:
   std::string program_;

@@ -1,7 +1,10 @@
 // Tests for the integer accumulator (HDC bundling / K-Means centroids).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/hdc/accumulator.hpp"
 #include "src/util/rng.hpp"
@@ -218,6 +221,77 @@ TEST(Accumulator, MergeDimensionMismatchThrows) {
   Accumulator a(10);
   const Accumulator b(11);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+}
+
+TEST(Accumulator, SubUndoesAddExactly) {
+  // sub is the exact inverse of add: after adding rows and subtracting
+  // them back (in another order) everything is exactly zero or empty.
+  Rng rng(24);
+  const std::size_t dim = 1000;  // ragged: padding in the last word
+  std::vector<HyperVector> rows;
+  for (std::size_t i = 0; i < 6; ++i) {
+    rows.push_back(HyperVector::random(dim, rng));
+  }
+  Accumulator acc(dim);
+  for (std::uint32_t i = 0; i < rows.size(); ++i) {
+    acc.add(rows[i].words(), 1 + i * 3);
+  }
+  for (std::uint32_t i = 6; i-- > 0;) {
+    acc.sub(rows[i].words(), 1 + i * 3);
+  }
+  for (std::size_t i = 0; i < dim; ++i) {
+    ASSERT_EQ(acc.at(i), 0) << "component " << i;
+  }
+  EXPECT_EQ(acc.total_weight(), 0u);
+  EXPECT_EQ(acc.norm(), 0.0);
+  EXPECT_EQ(acc.to_majority().popcount(), 0u);
+}
+
+TEST(Accumulator, SubRestoresThePriorState) {
+  // Moving a row out leaves exactly the accumulator that never saw it —
+  // counts, total weight, the incremental norm, and the majority.
+  Rng rng(25);
+  const std::size_t dim = 300;
+  const auto kept_a = HyperVector::random(dim, rng);
+  const auto kept_b = HyperVector::random(dim, rng);
+  const auto moved = HyperVector::random(dim, rng);
+  Accumulator with(dim);
+  with.add(kept_a, 4);
+  with.add(moved, 7);
+  with.add(kept_b, 2);
+  with.sub(moved.words(), 7);
+  Accumulator without(dim);
+  without.add(kept_a, 4);
+  without.add(kept_b, 2);
+  EXPECT_TRUE(std::ranges::equal(with.counts(), without.counts()));
+  EXPECT_EQ(with.total_weight(), without.total_weight());
+  EXPECT_EQ(with.norm(), without.norm());
+  EXPECT_EQ(with.to_majority(), without.to_majority());
+}
+
+TEST(Accumulator, SubOfMoreThanTheTotalWeightThrows) {
+  Rng rng(26);
+  const auto hv = HyperVector::random(128, rng);
+  Accumulator acc(128);
+  EXPECT_THROW(acc.sub(hv.words(), 1), std::invalid_argument);
+  acc.add(hv, 3);
+  EXPECT_THROW(acc.sub(hv.words(), 4), std::invalid_argument);
+  // The failed sub changed nothing; the exact weight still comes off.
+  EXPECT_EQ(acc.total_weight(), 3u);
+  acc.sub(hv.words(), 3);
+  EXPECT_EQ(acc.total_weight(), 0u);
+  EXPECT_EQ(acc.norm(), 0.0);
+}
+
+TEST(Accumulator, SubValidatesTheRow) {
+  Accumulator acc(100);
+  Rng rng(27);
+  acc.add(HyperVector::random(100, rng), 2);
+  const std::vector<std::uint64_t> short_row(1, 0);
+  EXPECT_THROW(acc.sub(short_row, 1), std::invalid_argument);
+  // Bit 100 lies in the padding of a 100-dim row.
+  const std::vector<std::uint64_t> dirty_padding{0, std::uint64_t{1} << 36};
+  EXPECT_THROW(acc.sub(dirty_padding, 1), std::invalid_argument);
 }
 
 TEST(Accumulator, HyperVectorAddForwardsThroughPackedOverload) {

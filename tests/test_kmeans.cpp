@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "src/core/kmeans.hpp"
 #include "src/hdc/accumulator.hpp"
 #include "src/hdc/hypervector.hpp"
 #include "src/hdc/kernels.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 
@@ -271,15 +275,41 @@ TEST(HvKMeans, OpsAccounting) {
   // an SEGHDC_ASSIGN_MODE=pruned environment (the CI matrix sets it)
   // must not flip this run onto the measured accounting, which
   // test_kmeans_pruned pins separately.
-  const HvKMeans kmeans(HvKMeansConfig{.clusters = 2,
-                                       .iterations = 4,
-                                       .assign_mode = AssignMode::kExhaustive});
-  const auto result = kmeans.run(data.points, {},
-                                 std::vector<std::size_t>{0, 1});
+  HvKMeansConfig config{.clusters = 2,
+                        .iterations = 4,
+                        .assign_mode = AssignMode::kExhaustive};
+  const auto result =
+      HvKMeans(config).run(data.points, {}, std::vector<std::size_t>{0, 1});
+  ASSERT_EQ(result.reseeds, 0u);
   const std::uint64_t n = data.points.size();
   EXPECT_EQ(result.ops.dot_adds, n * 2 * 256 * 4);
-  EXPECT_EQ(result.ops.centroid_update_adds, n * 256 * 4);
   EXPECT_EQ(result.ops.distance_evals, n * 2 * 4);
+
+  // The moved counts, measured independently: the labels after budget t
+  // against those after budget t - 1 (all zero before iteration 0).
+  std::vector<std::uint64_t> moved;
+  std::vector<std::uint32_t> previous(n, 0);
+  for (std::size_t budget = 1; budget <= 4; ++budget) {
+    config.iterations = budget;
+    const auto partial =
+        HvKMeans(config).run(data.points, {}, std::vector<std::size_t>{0, 1});
+    std::uint64_t changed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      changed += partial.assignment[i] != previous[i] ? 1 : 0;
+    }
+    moved.push_back(changed);
+    previous = partial.assignment;
+  }
+  EXPECT_EQ(result.moved_per_iteration, moved);
+  // The update adds it actually performs: n rows for the iteration-0
+  // rebuild, then one subtract and one add per moved point (every later
+  // iteration here moves fewer than half the points).
+  std::uint64_t rows = n;
+  for (std::size_t iter = 1; iter < moved.size(); ++iter) {
+    ASSERT_LT(2 * moved[iter], n) << "iteration " << iter;
+    rows += 2 * moved[iter];
+  }
+  EXPECT_EQ(result.ops.centroid_update_adds, rows * 256);
 }
 
 TEST(HvKMeans, ValidatesArguments) {
@@ -303,6 +333,254 @@ TEST(HvKMeans, ValidatesArguments) {
   const std::vector<std::uint32_t> bad_weights{1};
   EXPECT_THROW(kmeans.run(two, bad_weights, std::vector<std::size_t>{0, 1}),
                std::invalid_argument);
+}
+
+// --- Delta update step (centroids kept across iterations). ---
+
+/// The centroids and cluster weights a from-scratch rebuild over
+/// `assignment` produces.
+struct Rebuilt {
+  std::vector<hdc::Accumulator> centroids;
+  std::vector<std::uint64_t> weights;
+};
+
+Rebuilt rebuild_from(const std::vector<hdc::HyperVector>& points,
+                     const std::vector<std::uint32_t>& weights,
+                     const std::vector<std::uint32_t>& assignment,
+                     std::size_t clusters) {
+  Rebuilt out{std::vector<hdc::Accumulator>(
+                  clusters, hdc::Accumulator(points[0].dim())),
+              std::vector<std::uint64_t>(clusters, 0)};
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::uint32_t w = weights.empty() ? 1 : weights[i];
+    out.centroids[assignment[i]].add(points[i], w);
+    out.weights[assignment[i]] += w;
+  }
+  return out;
+}
+
+/// True when some iteration after the first took the delta path.
+bool ran_a_delta_update(const HvKMeansResult& result) {
+  for (std::size_t iter = 1; iter < result.moved_per_iteration.size();
+       ++iter) {
+    if (2 * result.moved_per_iteration[iter] < result.assignment.size()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Two families plus reseed pressure: seeds 2-5 duplicate seeds 0 and 1,
+/// so four clusters start starved and are reseeded in iteration 0, and
+/// two heavy all-zero points sit at cosine distance 1 from everything —
+/// under cosine they are the farthest points, get reseeded into the
+/// starved clusters, fall back to cluster 0 (every distance ties at 1)
+/// and are reseeded again in every later iteration, the final one
+/// included. Dim 1000 leaves a ragged last word.
+struct ReseedHeavyData {
+  std::vector<hdc::HyperVector> points;
+  std::vector<std::uint32_t> weights;
+};
+
+ReseedHeavyData make_reseed_heavy() {
+  auto data = make_two_clusters(24, 1000, 21);
+  for (std::size_t dup = 2; dup < 6; ++dup) {
+    data.points[dup] = data.points[dup % 2];
+  }
+  data.points[10] = hdc::HyperVector(1000);
+  data.points[17] = hdc::HyperVector(1000);
+  std::vector<std::uint32_t> weights(data.points.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = 1 + static_cast<std::uint32_t>(i % 3);
+  }
+  weights[10] = 9;
+  weights[17] = 5;
+  return {std::move(data.points), std::move(weights)};
+}
+
+void fnv1a_fold(std::uint64_t& hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xFFu;
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+/// FNV-1a over everything a caller can observe of a result: labels,
+/// cluster weights, centroid counts and total weights (the reseed's
+/// stale source mass included), reseeds, and iterations run.
+std::uint64_t kmeans_result_hash(const HvKMeansResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto label : result.assignment) {
+    fnv1a_fold(hash, label);
+  }
+  for (const auto weight : result.cluster_weights) {
+    fnv1a_fold(hash, weight);
+  }
+  for (const auto& centroid : result.centroids) {
+    for (const auto count : centroid.counts()) {
+      fnv1a_fold(hash, static_cast<std::uint64_t>(count));
+    }
+    fnv1a_fold(hash, centroid.total_weight());
+  }
+  fnv1a_fold(hash, result.reseeds);
+  fnv1a_fold(hash, result.iterations_run);
+  return hash;
+}
+
+TEST(HvKMeansDelta, FinalCentroidsEqualARebuildOfTheFinalAssignment) {
+  // Weighted points, both distances, serial and pooled: the centroids
+  // the delta updates leave behind must be exactly the ones a rebuild
+  // over the final labels produces — counts, total weight, and norm.
+  const auto data = make_two_clusters(40, 1000, 31);
+  std::vector<std::uint32_t> weights(data.points.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = 1 + static_cast<std::uint32_t>((i * 5) % 7);
+  }
+  // Start both seeds in family 0 so that points really move after
+  // iteration 0.
+  const std::vector<std::size_t> seeds{0, 2};
+  for (const auto distance :
+       {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("distance " + std::to_string(static_cast<int>(distance)) +
+                   " threads " + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      HvKMeansConfig config{
+          .clusters = 2, .iterations = 6, .distance = distance};
+      config.pool = &pool;
+      const auto result = HvKMeans(config).run(data.points, weights, seeds);
+      ASSERT_EQ(result.reseeds, 0u);
+      ASSERT_EQ(result.moved_per_iteration.size(), result.iterations_run);
+      EXPECT_TRUE(ran_a_delta_update(result));
+      const auto reference =
+          rebuild_from(data.points, weights, result.assignment, 2);
+      EXPECT_EQ(result.cluster_weights, reference.weights);
+      for (std::size_t c = 0; c < 2; ++c) {
+        EXPECT_TRUE(std::ranges::equal(result.centroids[c].counts(),
+                                       reference.centroids[c].counts()))
+            << "centroid " << c;
+        EXPECT_EQ(result.centroids[c].total_weight(),
+                  reference.centroids[c].total_weight());
+        EXPECT_EQ(result.centroids[c].norm(), reference.centroids[c].norm());
+      }
+    }
+  }
+}
+
+TEST(HvKMeansDelta, QueuedReseedSubtractsLeaveExactCentroids) {
+  // Under Hamming the reseed-heavy data reseeds in iterations 0 and 1
+  // only, so the later delta updates must have applied the queued
+  // source subtracts: the final centroids equal a rebuild.
+  const auto data = make_reseed_heavy();
+  const std::vector<std::size_t> seeds{0, 1, 2, 3, 4, 5};
+  HvKMeansConfig config{.clusters = 6,
+                        .iterations = 8,
+                        .distance = ClusterDistance::kHamming};
+  const auto result = HvKMeans(config).run(data.points, data.weights, seeds);
+  config.iterations = 2;
+  const auto first_two =
+      HvKMeans(config).run(data.points, data.weights, seeds);
+  ASSERT_GT(first_two.reseeds, 4u) << "iteration 1 no longer reseeds";
+  ASSERT_EQ(result.reseeds, first_two.reseeds)
+      << "a later iteration reseeded; the rebuild comparison needs none";
+  EXPECT_TRUE(ran_a_delta_update(result));
+  const auto reference =
+      rebuild_from(data.points, data.weights, result.assignment, 6);
+  EXPECT_EQ(result.cluster_weights, reference.weights);
+  for (std::size_t c = 0; c < 6; ++c) {
+    EXPECT_TRUE(std::ranges::equal(result.centroids[c].counts(),
+                                   reference.centroids[c].counts()))
+        << "centroid " << c;
+    EXPECT_EQ(result.centroids[c].total_weight(),
+              reference.centroids[c].total_weight())
+        << "centroid " << c;
+  }
+}
+
+TEST(HvKMeansDelta, ReseedHeavyRunMatchesPinnedHashes) {
+  // Hashes recorded with a full centroid rebuild in every iteration, so
+  // they pin that the delta update changes nothing, reseeds included:
+  // the destination gains the point at once, the source keeps its mass
+  // until the next update step, and a reseed in the final iteration
+  // leaves that stale mass in the returned centroids. Assignment modes
+  // and pool sizes must not move them.
+  const auto data = make_reseed_heavy();
+  const std::vector<std::size_t> seeds{0, 1, 2, 3, 4, 5};
+  struct Expected {
+    ClusterDistance distance;
+    std::size_t reseeds;
+    std::uint64_t hash;
+  };
+  for (const Expected expected :
+       {Expected{ClusterDistance::kCosine, 18, 4015937929893554113ULL},
+        Expected{ClusterDistance::kHamming, 5, 1932563290202939059ULL}}) {
+    for (const auto mode : {AssignMode::kExhaustive, AssignMode::kPruned}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(
+            "distance " +
+            std::to_string(static_cast<int>(expected.distance)) + " mode " +
+            std::to_string(static_cast<int>(mode)) + " threads " +
+            std::to_string(threads));
+        util::ThreadPool pool(threads);
+        HvKMeansConfig config{.clusters = 6,
+                              .iterations = 8,
+                              .distance = expected.distance,
+                              .assign_mode = mode};
+        config.pool = &pool;
+        const auto result =
+            HvKMeans(config).run(data.points, data.weights, seeds);
+        EXPECT_EQ(result.reseeds, expected.reseeds);
+        EXPECT_TRUE(ran_a_delta_update(result));
+        EXPECT_EQ(kmeans_result_hash(result), expected.hash);
+      }
+    }
+  }
+}
+
+TEST(HvKMeansDelta, IterationSpansReportMovedAndUpdateKind) {
+  // Every kmeans_iter span carries its moved count and the update path
+  // taken; the rule is a fixed function of (iteration, moved, n). The
+  // update itself stays in the span's self time: kmeans_assign is the
+  // only span nested inside an iteration.
+  const auto data = make_two_clusters(40, 1000, 31);
+  HvKMeansConfig config{.clusters = 2, .iterations = 6};
+  util::ThreadPool pool(1);
+  config.pool = &pool;
+  const obs::TraceSession session;
+  const auto result =
+      HvKMeans(config).run(data.points, {}, std::vector<std::size_t>{0, 2});
+  const auto events = session.events();
+  std::vector<const obs::TraceEvent*> iters;
+  for (const auto& event : events) {
+    if (std::string_view(event.name) == "kmeans_iter") {
+      iters.push_back(&event);
+    }
+  }
+  ASSERT_EQ(iters.size(), result.iterations_run);
+  const std::uint64_t n = data.points.size();
+  bool saw_delta = false;
+  for (std::size_t iter = 0; iter < iters.size(); ++iter) {
+    const obs::TraceEvent& span = *iters[iter];
+    EXPECT_STREQ(span.arg1_key, "iter");
+    EXPECT_EQ(span.arg1_value, iter);
+    EXPECT_STREQ(span.arg2_key, "moved");
+    EXPECT_EQ(span.arg2_value, result.moved_per_iteration[iter]);
+    const bool rebuild = iter == 0 || 2 * span.arg2_value >= n;
+    EXPECT_STREQ(span.label_key, "update");
+    EXPECT_STREQ(span.label_value, rebuild ? "rebuild" : "delta");
+    saw_delta = saw_delta || !rebuild;
+    for (const auto& other : events) {
+      const bool nested = other.tid == span.tid &&
+                          other.start_ns >= span.start_ns &&
+                          other.start_ns + other.dur_ns <=
+                              span.start_ns + span.dur_ns &&
+                          &other != &span;
+      if (nested) {
+        EXPECT_STREQ(other.name, "kmeans_assign");
+      }
+    }
+  }
+  EXPECT_TRUE(saw_delta);
 }
 
 TEST(LargestColorDifferenceSeeds, PicksMinAndMaxFirst) {

@@ -131,6 +131,31 @@ TEST(Trace, JsonIsWellFormedChromeTrace) {
   EXPECT_NE(json.find("\"dropped_events\":\"7\""), std::string::npos);
 }
 
+TEST(Trace, LabelRecordsAndSerializesAsAString) {
+  const obs::TraceSession session;
+  {
+    obs::SpanScope span("kmeans_iter", "test", "iter", 2);
+    span.arg("moved", 5);
+    span.label("update", "rebuild");
+    span.label("update", "delta");  // the last label wins
+  }
+  {
+    obs::SpanScope span("label_only", "test");
+    span.label("kind", "cold");
+  }
+  const auto events = session.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_STREQ(events[0].label_key, "update");
+  EXPECT_STREQ(events[0].label_value, "delta");
+  std::ostringstream out;
+  obs::write_trace_json(out, events, /*dropped=*/0);
+  const std::string json = out.str();
+  EXPECT_NE(
+      json.find("\"args\":{\"iter\":2,\"moved\":5,\"update\":\"delta\"}"),
+      std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"kind\":\"cold\"}"), std::string::npos);
+}
+
 TEST(Trace, MalformedEnvIsAHardError) {
   const TracerGuard guard;
   const char* saved_env = std::getenv("SEGHDC_TRACE");

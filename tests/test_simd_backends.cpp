@@ -258,6 +258,89 @@ TEST(SimdBackends, AccumulateMatchesScalarOnAdversarialSpans) {
   }
 }
 
+TEST(SimdBackends, NegativeWeightAccumulateUndoesAddOnEveryBackend) {
+  // Accumulator::sub runs accumulate_words at weight -w: on every
+  // backend it must return the scalar reference's pre-op dot and
+  // restore the counts a +w add left, at ragged counts lengths (not
+  // multiples of 64) as well as whole words.
+  const auto* scalar = simd::find_backend("scalar");
+  ASSERT_NE(scalar, nullptr);
+  const std::vector<std::int64_t> weights{1, 3, 100000};
+  for (const std::size_t words : kWordCounts) {
+    for (const std::size_t trim : {0u, 1u, 30u, 63u}) {
+      if (words == 0 && trim > 0) {
+        continue;
+      }
+      const std::size_t count_size = words * 64 - trim;
+      auto sets = adversarial_word_sets(words);
+      for (std::size_t si = 0; si < sets.size(); ++si) {
+        auto span_words = sets[si];
+        if (trim > 0) {
+          span_words.back() &= ~std::uint64_t{0} >> trim;
+        }
+        util::Rng rng(words * 389 + trim * 17 + si);
+        std::vector<std::int64_t> base_counts(count_size);
+        for (auto& count : base_counts) {
+          count = static_cast<std::int64_t>(rng() % 4096);
+        }
+        for (const std::int64_t weight : weights) {
+          auto added = base_counts;
+          scalar->accumulate_words(added, span_words, weight);
+          auto expected_counts = added;
+          const auto expected_dot =
+              scalar->accumulate_words(expected_counts, span_words, -weight);
+          ASSERT_EQ(expected_counts, base_counts)
+              << "scalar reference words=" << words << " trim=" << trim;
+          for (const auto* backend : available_backends()) {
+            auto got_counts = added;
+            const auto got_dot =
+                backend->accumulate_words(got_counts, span_words, -weight);
+            EXPECT_EQ(got_dot, expected_dot)
+                << backend->name << " words=" << words << " trim=" << trim
+                << " set=" << si << " weight=" << -weight;
+            EXPECT_EQ(got_counts, base_counts)
+                << backend->name << " words=" << words << " trim=" << trim
+                << " set=" << si << " weight=" << -weight;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBackends, AccumulatorSubIdenticalUnderEveryBackend) {
+  // Through the public API: adds then subs of a subset leave the same
+  // counts, weight, and norm as adding only the rest, on every forced
+  // backend, at dims straddling word boundaries.
+  const BackendSelectionGuard guard;
+  for (const std::size_t dim : {8u, 63u, 65u, 322u, 1000u}) {
+    for (const auto* backend : available_backends()) {
+      simd::force_backend(backend->name);
+      util::Rng rng(dim * 5 + 2);
+      std::vector<HyperVector> rows;
+      for (std::size_t i = 0; i < 10; ++i) {
+        rows.push_back(HyperVector::random(dim, rng));
+      }
+      Accumulator moved(dim);
+      Accumulator kept(dim);
+      for (std::uint32_t i = 0; i < rows.size(); ++i) {
+        moved.add(rows[i], 1 + i);
+        if (i % 3 != 0) {
+          kept.add(rows[i], 1 + i);
+        }
+      }
+      for (std::uint32_t i = 0; i < rows.size(); i += 3) {
+        moved.sub(rows[i].words(), 1 + i);
+      }
+      EXPECT_TRUE(std::equal(moved.counts().begin(), moved.counts().end(),
+                             kept.counts().begin(), kept.counts().end()))
+          << backend->name << " dim=" << dim;
+      EXPECT_EQ(moved.total_weight(), kept.total_weight()) << backend->name;
+      EXPECT_EQ(moved.norm(), kept.norm()) << backend->name << " dim=" << dim;
+    }
+  }
+}
+
 TEST(SimdBackends, AccumulatorAddIdenticalUnderEveryBackend) {
   // Through the public Accumulator API (dispatch + padding + the
   // incremental norm): weighted adds at dimensions straddling word

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/util/cli.hpp"
@@ -182,6 +183,34 @@ TEST(Cli, ParseSizeListZeroPolicy) {
             (std::vector<std::size_t>{0, 2}));
   EXPECT_THROW(Cli::parse_size_list("0,2", /*allow_zero=*/false),
                std::invalid_argument);
+}
+
+TEST(Cli, ParseWxhAcceptsImageSizes) {
+  EXPECT_EQ(Cli::parse_wxh("320x240"),
+            (std::pair<std::size_t, std::size_t>{320, 240}));
+  EXPECT_EQ(Cli::parse_wxh("1x1"), (std::pair<std::size_t, std::size_t>{1, 1}));
+  // The strict list parser still refuses the same token: WxH has its
+  // own parser rather than a loosened list grammar.
+  EXPECT_THROW(Cli::parse_size_list("320x240", /*allow_zero=*/false),
+               std::invalid_argument);
+}
+
+TEST(Cli, ParseWxhRejectsMalformedSizes) {
+  for (const char* spec : {"320x", "x240", "x", "", "320", "0x5", "5x0",
+                           "320x240x1", "320X240", "32 0x240", "-1x5",
+                           "320x240 "}) {
+    EXPECT_THROW(Cli::parse_wxh(spec), std::invalid_argument) << spec;
+  }
+  EXPECT_THROW(Cli::parse_wxh("18446744073709551616x2"),
+               std::invalid_argument);
+  EXPECT_THROW(Cli::parse_wxh("2x18446744073709551616"),
+               std::invalid_argument);
+  try {
+    Cli::parse_wxh("320x");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "size '320x' must be WxH");
+  }
 }
 
 TEST(Csv, WritesHeaderAndRows) {
