@@ -1,12 +1,13 @@
-// Async serving throughput + tail latency: SegHdcServer (the pipelined
-// request-level path) vs SegHdcSession::segment_many (the batch/barrier
-// path) over the same DSB2018-like traffic.
+// Async serving throughput + tail latency: SegHdcServer (the
+// request-level path, N whole-image workers) vs
+// SegHdcSession::segment_many (the batch/barrier path) over the same
+// DSB2018-like traffic.
 //
 //   ./bench_serving [--images 24] [--width 128] [--height 96]
 //                   [--dim 1000] [--beta 8] [--clusters 2]
 //                   [--iterations 6] [--quantize 2] [--seed 42]
 //                   [--threads 1,2,4] [--queue 0,4]
-//                   [--encode-workers 2] [--cluster-workers 2]
+//                   [--workers 2]
 //                   [--repeats 3] [--csv]
 //                   [--backend scalar|harley-seal|avx2|neon|auto]
 //                   [--tenants N] [--max-in-flight-total 0] [--stream]
@@ -57,6 +58,7 @@
 #include "src/hdc/simd/backend.hpp"
 #include "src/hdc/simd/cpu_features.hpp"
 #include "src/metrics/segmentation_metrics.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/serve/fleet.hpp"
 #include "src/serve/server.hpp"
@@ -82,7 +84,7 @@ struct Row {
   std::uint64_t hash = 0;
   bool has_latency = false;
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  serve::LatencyPercentiles latency;
+  obs::LatencyPercentiles latency;
 };
 
 /// The fleet bench: N tenants on one shared pool, every tenant fed the
@@ -92,12 +94,8 @@ int run_fleet_bench(const util::Cli& cli, const core::SegHdcConfig& base,
                     const std::vector<img::ImageU8>& images,
                     const std::vector<std::size_t>& thread_list,
                     const std::vector<std::size_t>& queue_list,
-                    std::size_t tenant_count, std::size_t repeats,
-                    bool csv) {
-  const auto encode_workers =
-      static_cast<std::size_t>(cli.get_int("encode-workers", 2));
-  const auto cluster_workers =
-      static_cast<std::size_t>(cli.get_int("cluster-workers", 2));
+                    std::size_t tenant_count, std::size_t workers,
+                    std::size_t repeats, bool csv) {
   const auto max_in_flight_total =
       static_cast<std::size_t>(cli.get_int("max-in-flight-total", 0));
 
@@ -124,7 +122,7 @@ int run_fleet_bench(const util::Cli& cli, const core::SegHdcConfig& base,
 
   bool hashes_match = true;
   std::vector<Row> rows;
-  serve::LatencyPercentiles last_latency;
+  obs::LatencyPercentiles last_latency;
   for (const std::size_t threads : thread_list) {
     util::ThreadPool pool(threads);
     for (const std::size_t capacity : queue_list) {
@@ -144,8 +142,7 @@ int run_fleet_bench(const util::Cli& cli, const core::SegHdcConfig& base,
           names.push_back("tenant" + std::to_string(t));
           serve::TenantOptions tenant_options;
           tenant_options.max_queued = capacity;
-          tenant_options.encode_workers = encode_workers;
-          tenant_options.cluster_workers = cluster_workers;
+          tenant_options.workers = workers;
           fleet.add_tenant(names.back(), configs[t], tenant_options);
         }
         const util::Stopwatch watch;
@@ -491,10 +488,7 @@ int main(int argc, char** argv) try {
       static_cast<std::size_t>(cli.get_int("images", 24));
   const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 3));
   const bool csv = cli.get_flag("csv");
-  const auto encode_workers =
-      static_cast<std::size_t>(cli.get_int("encode-workers", 2));
-  const auto cluster_workers =
-      static_cast<std::size_t>(cli.get_int("cluster-workers", 2));
+  const auto workers = static_cast<std::size_t>(cli.get_int("workers", 2));
 
   core::SegHdcConfig config;
   config.dim = static_cast<std::size_t>(cli.get_int("dim", 1000));
@@ -570,10 +564,9 @@ int main(int argc, char** argv) try {
   }
 
   std::printf("bench_serving: %zu images %zux%zux3, dim=%zu, "
-              "iterations=%zu, %zu+%zu stage workers, best of %zu repeats\n",
+              "iterations=%zu, %zu workers, best of %zu repeats\n",
               images.size(), dataset_config.width, dataset_config.height,
-              config.dim, config.iterations, encode_workers,
-              cluster_workers, repeats);
+              config.dim, config.iterations, workers, repeats);
   std::printf("kernel backend: %s | cpu: %s\n",
               hdc::simd::active_backend().name,
               hdc::simd::cpu_feature_string().c_str());
@@ -582,7 +575,8 @@ int main(int argc, char** argv) try {
       static_cast<std::size_t>(cli.get_int("tenants", 0));
   if (tenant_count > 0) {
     return finish(run_fleet_bench(cli, config, images, thread_list,
-                                  queue_list, tenant_count, repeats, csv));
+                                  queue_list, tenant_count, workers, repeats,
+                                  csv));
   }
 
   // Reference: a sequential session loop pins the expected hash.
@@ -600,7 +594,7 @@ int main(int argc, char** argv) try {
   }
 
   std::vector<Row> rows;
-  serve::LatencyPercentiles last_latency;
+  obs::LatencyPercentiles last_latency;
   for (const std::size_t threads : thread_list) {
     {
       // Barrier path: segment_many blocks the caller for the batch.
@@ -632,8 +626,7 @@ int main(int argc, char** argv) try {
         serve::ServerOptions options;
         options.queue_capacity = capacity;
         options.backpressure = serve::BackpressurePolicy::kBlock;
-        options.encode_workers = encode_workers;
-        options.cluster_workers = cluster_workers;
+        options.workers = workers;
         options.pool = &pool;
         serve::SegHdcServer server(config, options);
         const util::Stopwatch watch;
@@ -707,7 +700,7 @@ int main(int argc, char** argv) try {
   std::printf("all label hashes identical across server and barrier "
               "paths at every queue capacity and pool size\n");
 
-  // Machine-readable headline: the fastest pipelined (server) row, with
+  // Machine-readable headline: the fastest server row, with
   // that row's own registry-backed latency percentiles.
   const Row* best = nullptr;
   double best_ips = 0.0;

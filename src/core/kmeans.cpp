@@ -254,7 +254,9 @@ HvKMeansResult HvKMeans::run_impl(
       std::atomic<std::uint64_t> kernel_evals_total{0};
       std::atomic<std::uint64_t> pruned_total{0};
       std::atomic<std::uint64_t> words_total{0};
-      obs::SpanScope assign_span("kmeans_assign", "core", "iter", iter);
+      // Both arg slots carry the work split; the iteration number is on
+      // the parent kmeans_iter span.
+      obs::SpanScope assign_span("kmeans_assign", "core");
       const auto commit = [&](std::size_t i, std::uint32_t best_cluster,
                               double best) {
         if (result.assignment[i] != best_cluster) {
@@ -546,7 +548,6 @@ HvKMeansResult HvKMeans::run_impl(
         result.ops.words_scanned += words_total.load();
         assign_span.arg("evaluated", evals);
         assign_span.arg("pruned", pruned);
-        assign_span.arg("pruned_pct", pairs != 0 ? pruned * 100 / pairs : 0);
       } else {
         // Exhaustive accounting keeps the classic assumed totals (and
         // words_scanned measured above): every pair is an eval of dim
@@ -555,7 +556,6 @@ HvKMeansResult HvKMeans::run_impl(
         result.ops.distance_evals += pairs;
         assign_span.arg("evaluated", pairs);
         assign_span.arg("pruned", 0);
-        assign_span.arg("pruned_pct", 0);
       }
     }
 

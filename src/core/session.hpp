@@ -33,8 +33,8 @@
 //     cache is internally synchronised.
 //   - the pipeline splits at the EncodedImage seam: `encode(image,
 //     scratch)` then `cluster_and_finalize(encoded)` equals
-//     `segment(image)` bit for bit — the contract the async serving
-//     layer (src/serve/) pipelines on.
+//     `segment(image)` bit for bit. Each serving worker (src/serve/)
+//     runs the two back to back so it can time and trace them apart.
 #ifndef SEGHDC_CORE_SESSION_HPP
 #define SEGHDC_CORE_SESSION_HPP
 
@@ -167,19 +167,19 @@ class SegHdcSession {
   /// reusing the cached encoder state for the image's geometry.
   EncodedImage encode(const img::ImageU8& image) const;
 
-  /// Same, through a caller-owned arena (stage 1 of the serving
-  /// pipeline). Deterministic: output is bit-identical whether the
+  /// Same, through a caller-owned arena (the first half of a serving
+  /// worker's request). Deterministic: output is bit-identical whether the
   /// arena is cold, warm, or the session-shared one. Safe to call
   /// concurrently as long as each call uses a distinct Scratch.
   EncodedImage encode(const img::ImageU8& image, Scratch& scratch) const;
 
-  /// Stage 2 of the serving pipeline: clusters an `encode` result and
-  /// builds the label map (+ margins when configured). Consumes
-  /// `encoded`. `segment(image)` == `cluster_and_finalize(encode(image))`
-  /// bit for bit — splitting the stages never changes the output, so a
-  /// pipelined server can overlap the encode of one image with the
-  /// clustering of another. Thread-safe (no mutable session state);
-  /// `timings.encode_seconds` is 0 here, the driver measured that stage.
+  /// The second half of a serving worker's request: clusters an
+  /// `encode` result and builds the label map (+ margins when
+  /// configured). Consumes `encoded`. `segment(image)` ==
+  /// `cluster_and_finalize(encode(image))` bit for bit — splitting the
+  /// call never changes the output. Thread-safe (no mutable session
+  /// state); `timings.encode_seconds` is 0 here, the caller measured
+  /// the encode.
   SegmentationResult cluster_and_finalize(EncodedImage&& encoded) const;
 
   /// Full pipeline: encode + cluster + label map. Bitwise-identical to

@@ -13,7 +13,7 @@
 //     offline-sweep shape;
 //   - EvalPath::kServer  — serve::SegHdcServer::submit, the production
 //     shape: reproducing the paper's accuracy tables IS a serving
-//     workload, with queue admission, pipelined stages, and real
+//     workload, with queue admission, concurrent workers, and real
 //     submit-to-done tail latencies in the report.
 #ifndef SEGHDC_EVAL_SUITE_HPP
 #define SEGHDC_EVAL_SUITE_HPP

@@ -78,8 +78,7 @@ void SegHdcFleet::add_tenant(const std::string& name,
   // holds the fleet lock while forwarding) can never block on it.
   server_options.queue_capacity = 0;
   server_options.backpressure = BackpressurePolicy::kBlock;
-  server_options.encode_workers = options.encode_workers;
-  server_options.cluster_workers = options.cluster_workers;
+  server_options.workers = options.workers;
   server_options.pool = options_.pool;
   server_options.latency_window = options.latency_window;
 
@@ -200,7 +199,7 @@ bool SegHdcFleet::dispatch_one_locked() {
         break;  // nothing pending for this tenant
       }
       tenant->dispatched.add();
-      // on_done fires exactly once per request — success, stage failure,
+      // on_done fires exactly once per request — success, failure,
       // and server-side cancellation alike — so the quota slots always
       // come back and the dispatcher (plus any retire waiter) wakes.
       std::shared_ptr<Tenant> owner = tenant;

@@ -17,7 +17,7 @@
 //     future <──────────────────────────────────┴── promise + quota release
 //
 // Every tenant is an independent (SegHdcConfig, SegHdcServer) pair; all
-// tenant servers fan their intra-stage work onto ONE shared
+// tenant servers fan their per-image work onto ONE shared
 // util::ThreadPool, so the fleet's footprint is bounded by the pool, not
 // by tenant count. Admission is per tenant — a pending-queue cap
 // (max_queued, block or reject) plus an in-flight cap (max_in_flight) —
@@ -85,7 +85,7 @@ class DuplicateTenantError : public std::invalid_argument {
 };
 
 /// Per-tenant knobs: the admission quota, the fair-share weight, and the
-/// tenant server's stage shape. None of them affect result content, only
+/// tenant server's worker count. None of them affect result content, only
 /// who waits when.
 struct TenantOptions {
   /// Pending-queue capacity at the fleet gate; 0 = unbounded. A full
@@ -102,16 +102,15 @@ struct TenantOptions {
   /// round-robin turn (>= 1). Double weight, double share under
   /// contention.
   std::size_t weight = 1;
-  /// Stage threads of the tenant's server (see ServerOptions).
-  std::size_t encode_workers = 1;
-  std::size_t cluster_workers = 1;
+  /// Whole-image workers of the tenant's server (see ServerOptions).
+  std::size_t workers = 1;
   /// Sliding-window size of the tenant server's latency recorder.
   std::size_t latency_window = 65536;
 };
 
 /// Fleet-wide knobs.
 struct FleetOptions {
-  /// Pool every tenant's intra-stage work fans out on. nullptr = the
+  /// Pool every tenant's per-image work fans out on. nullptr = the
   /// process-wide shared pool. One pool for the whole fleet is the
   /// point: tenant count scales admission state, not thread count.
   util::ThreadPool* pool = nullptr;
@@ -158,7 +157,7 @@ struct FleetStats {
   double uptime_seconds = 0.0;
   /// completed / uptime across all tenants — sustained, not windowed.
   double throughput_images_per_sec = 0.0;
-  LatencyPercentiles latency;
+  obs::LatencyPercentiles latency;
 };
 
 class SegHdcFleet {
@@ -174,7 +173,7 @@ class SegHdcFleet {
 
   const FleetOptions& options() const { return options_; }
 
-  /// Registers a tenant and starts its server (stage threads spin up
+  /// Registers a tenant and starts its server (its workers spin up
   /// here). Validates the config and options (std::invalid_argument,
   /// DuplicateTenantError). Safe under load; existing tenants are not
   /// disturbed.
@@ -199,7 +198,7 @@ class SegHdcFleet {
 
   /// Enqueues one image for `tenant`. The future delivers exactly what
   /// a solo SegHdcServer with the tenant's config would deliver, or the
-  /// failure (stage exception, CancelledError under retire(kCancel)).
+  /// failure (worker exception, CancelledError under retire(kCancel)).
   /// Blocks or throws RejectedError on a full pending queue per the
   /// tenant's admission policy; UnknownTenantError for names the fleet
   /// does not serve; ShutdownError once the tenant's retire has begun.

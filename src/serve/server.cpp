@@ -12,11 +12,8 @@ namespace seghdc::serve {
 namespace {
 
 ServerOptions validate_options(ServerOptions options) {
-  if (options.encode_workers == 0) {
-    throw std::invalid_argument("ServerOptions.encode_workers must be >= 1");
-  }
-  if (options.cluster_workers == 0) {
-    throw std::invalid_argument("ServerOptions.cluster_workers must be >= 1");
+  if (options.workers == 0) {
+    throw std::invalid_argument("ServerOptions.workers must be >= 1");
   }
   if (options.latency_window == 0) {
     throw std::invalid_argument("ServerOptions.latency_window must be >= 1");
@@ -32,8 +29,8 @@ ServerOptions validate_options(ServerOptions options) {
 /// frame's predecessor is already popped (FIFO) and therefore in flight
 /// whenever the frame waits for its turn, i.e. the turn wait can never
 /// deadlock. `run_mutex` + `run_cv` implement the turn itself:
-/// `next_run_seq` advances exactly once per frame — success, stage
-/// failure, and cancellation alike.
+/// `next_run_seq` advances exactly once per frame — success, failure,
+/// and cancellation alike.
 struct SegHdcServer::StreamHandle::StreamShared {
   core::SegHdcSession::Stream stream;
   std::mutex submit_mutex;
@@ -54,21 +51,17 @@ SegHdcServer::SegHdcServer(const core::SegHdcConfig& config,
     : session_(config, core::SegHdcSession::Options{options.pool}),
       options_(validate_options(options)),
       submit_queue_(options_.queue_capacity),
-      // Two encoded images of headroom per cluster worker: enough to keep
-      // the stage busy, small enough that a slow cluster stage promptly
-      // backpressures the encode stage instead of buffering the batch.
-      encoded_queue_(std::max<std::size_t>(1, options_.cluster_workers * 2)),
       latency_(metrics_.histogram(
           "seghdc_request_latency_seconds",
           "Submit-to-completion wall latency of completed requests", "",
           options_.latency_window)),
       encode_stage_seconds_(metrics_.histogram(
           "seghdc_stage_encode_seconds",
-          "Encode-stage compute time per request", "",
+          "Encode compute time per request", "",
           options_.latency_window)),
       cluster_stage_seconds_(metrics_.histogram(
           "seghdc_stage_cluster_seconds",
-          "Cluster+finalize stage compute time per request", "",
+          "Cluster+finalize compute time per request", "",
           options_.latency_window)),
       submitted_(metrics_.counter("seghdc_requests_submitted_total",
                                   "Requests accepted into the submit queue")),
@@ -79,12 +72,12 @@ SegHdcServer::SegHdcServer(const core::SegHdcConfig& config,
       cancelled_(metrics_.counter("seghdc_requests_cancelled_total",
                                   "Requests failed by shutdown(kCancel)")),
       failed_(metrics_.counter("seghdc_requests_failed_total",
-                               "Requests whose stage threw")),
+                               "Requests whose worker threw")),
       queue_depth_(metrics_.gauge("seghdc_queue_depth",
                                   "Requests waiting in the submit queue")),
       in_flight_(metrics_.gauge(
           "seghdc_in_flight",
-          "Requests popped by a stage and not yet completed")),
+          "Requests popped by a worker and not yet completed")),
       stream_frames_(metrics_.counter("seghdc_stream_frames_total",
                                       "Stream frames completed")),
       stream_warm_frames_(metrics_.counter(
@@ -108,14 +101,9 @@ SegHdcServer::SegHdcServer(const core::SegHdcConfig& config,
       assign_candidates_pruned_(metrics_.counter(
           "seghdc_assign_candidates_pruned_total",
           "K-Means assignment candidates skipped by exact pruning")) {
-  encode_threads_.reserve(options_.encode_workers);
-  cluster_threads_.reserve(options_.cluster_workers);
-  live_encoders_.store(options_.encode_workers, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < options_.encode_workers; ++i) {
-    encode_threads_.emplace_back([this] { encode_loop(); });
-  }
-  for (std::size_t i = 0; i < options_.cluster_workers; ++i) {
-    cluster_threads_.emplace_back([this] { cluster_loop(); });
+  workers_.reserve(options_.workers);
+  for (std::size_t i = 0; i < options_.workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -204,7 +192,7 @@ std::future<core::SegmentationResult> SegHdcServer::enqueue(
   completion.trace_id =
       next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   const obs::SpanScope span("submit", "serve", "req", completion.trace_id);
-  Request request{std::move(image), std::move(completion)};
+  Request request{std::move(image), std::move(completion), std::nullopt};
   if (options_.backpressure == BackpressurePolicy::kReject) {
     switch (submit_queue_.try_push(request)) {
       case util::QueuePush::kOk:
@@ -243,7 +231,7 @@ void SegHdcServer::deliver(Completion&& completion,
     // across requests needs no locking of its own. A throwing sink is a
     // contract violation (sinks are success-only, documented noexcept-
     // in-spirit); contain it here so it cannot double-count the request
-    // as failed or kill the stage thread.
+    // as failed or kill the worker thread.
     try {
       const std::lock_guard<std::mutex> lock(sink_mutex_);
       completion.sink(std::move(result));
@@ -268,7 +256,7 @@ void SegHdcServer::fail(Completion&& completion, std::exception_ptr error,
   }
 }
 
-void SegHdcServer::encode_loop() {
+void SegHdcServer::worker_loop() {
   core::SegHdcSession::Scratch scratch;  // warm arena, one per worker
   for (;;) {
     std::optional<Request> request = submit_queue_.pop();
@@ -278,52 +266,49 @@ void SegHdcServer::encode_loop() {
     queue_depth_.set(static_cast<std::int64_t>(submit_queue_.size()));
     in_flight_.add();
     if (request->stream.has_value()) {
-      // Stream frames are stage-fused here: the next frame's encode
-      // depends on this frame's clustering (band caches AND centroids),
-      // so splitting the stages buys no overlap within a stream. Other
-      // streams and batch requests overlap with it on other workers.
       process_stream_frame(std::move(*request));
-      in_flight_.sub();
-      continue;
+    } else {
+      process_request(std::move(*request), scratch);
     }
-    // Queue wait, reconstructed from the admission stopwatch: the span
-    // ends at the pop, so it covers submit -> this worker (including
-    // any fleet-gate wait upstream of this server).
-    obs::emit_complete("queue_wait", "serve",
-                       request->completion.accepted.seconds(), "req",
-                       request->completion.trace_id);
-    EncodedJob job;
-    job.completion = std::move(request->completion);
-    bool encoded_ok = true;
-    const util::Stopwatch encode_watch;
-    try {
-      const obs::SpanScope span("encode", "serve", "req",
-                                job.completion.trace_id);
-      job.encoded = session_.encode(request->image, scratch);
-      job.encode_seconds = encode_watch.seconds();
-      encode_stage_seconds_.record(job.encode_seconds);
-    } catch (...) {
-      encoded_ok = false;
-      fail(std::move(job.completion), std::current_exception(), failed_);
-      in_flight_.sub();
-    }
-    if (!encoded_ok) {
-      continue;
-    }
-    request.reset();  // free the image before the hand-off blocks
-    if (!encoded_queue_.push(job)) {
-      // Only possible if the encoded queue was force-closed, which the
-      // normal shutdown path never does while an encoder is live.
-      // CancelledError to match the cancelled_ counter it pairs with.
-      fail(std::move(job.completion),
-           std::make_exception_ptr(CancelledError()), cancelled_);
-      in_flight_.sub();
-    }
+    in_flight_.sub();
   }
-  // Last encoder out closes the stage hand-off so the cluster workers
-  // drain what is left and exit.
-  if (live_encoders_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    encoded_queue_.close();
+}
+
+void SegHdcServer::process_request(Request&& request,
+                                   core::SegHdcSession::Scratch& scratch) {
+  Completion& completion = request.completion;
+  // Queue wait, reconstructed from the admission stopwatch: the span
+  // ends at the pop, so it covers submit -> this worker (including any
+  // fleet-gate wait upstream of this server).
+  obs::emit_complete("queue_wait", "serve", completion.accepted.seconds(),
+                     "req", completion.trace_id);
+  try {
+    const util::Stopwatch encode_watch;
+    core::EncodedImage encoded;
+    {
+      const obs::SpanScope span("encode", "serve", "req",
+                                completion.trace_id);
+      encoded = session_.encode(request.image, scratch);
+    }
+    const double encode_seconds = encode_watch.seconds();
+    encode_stage_seconds_.record(encode_seconds);
+    const util::Stopwatch cluster_watch;
+    core::SegmentationResult result;
+    {
+      const obs::SpanScope span("cluster_finalize", "serve", "req",
+                                completion.trace_id);
+      result = session_.cluster_and_finalize(std::move(encoded));
+    }
+    cluster_stage_seconds_.record(cluster_watch.seconds());
+    // cluster_and_finalize leaves encode_seconds at 0 and total_seconds
+    // at its own share (K-Means + label map + margins); add the encode
+    // measured above. Queue wait is not compute: the latency recorder
+    // tracks submit-to-done separately.
+    result.timings.encode_seconds = encode_seconds;
+    result.timings.total_seconds += encode_seconds;
+    deliver(std::move(completion), std::move(result));
+  } catch (...) {
+    fail(std::move(completion), std::current_exception(), failed_);
   }
 }
 
@@ -399,35 +384,6 @@ void SegHdcServer::cancel_stream_frame(StreamJob&& job) {
   job.promise.set_exception(std::make_exception_ptr(CancelledError()));
 }
 
-void SegHdcServer::cluster_loop() {
-  for (;;) {
-    std::optional<EncodedJob> job = encoded_queue_.pop();
-    if (!job) {
-      break;  // closed and drained
-    }
-    try {
-      const util::Stopwatch cluster_watch;
-      core::SegmentationResult result;
-      {
-        const obs::SpanScope span("cluster_finalize", "serve", "req",
-                                  job->completion.trace_id);
-        result = session_.cluster_and_finalize(std::move(job->encoded));
-      }
-      cluster_stage_seconds_.record(cluster_watch.seconds());
-      // Stage-true timings: the encode stage measured itself, finalize
-      // set total_seconds to its whole stage (K-Means + label map +
-      // margins); their sum is pipeline compute, not queue wait (the
-      // latency recorder tracks submit-to-done separately).
-      result.timings.encode_seconds = job->encode_seconds;
-      result.timings.total_seconds += job->encode_seconds;
-      deliver(std::move(job->completion), std::move(result));
-    } catch (...) {
-      fail(std::move(job->completion), std::current_exception(), failed_);
-    }
-    in_flight_.sub();
-  }
-}
-
 void SegHdcServer::shutdown(ShutdownMode mode) {
   const std::lock_guard<std::mutex> lock(shutdown_mutex_);
   if (threads_joined_) {
@@ -446,10 +402,7 @@ void SegHdcServer::shutdown(ShutdownMode mode) {
   } else {
     submit_queue_.close();
   }
-  for (auto& thread : encode_threads_) {
-    thread.join();
-  }
-  for (auto& thread : cluster_threads_) {
+  for (auto& thread : workers_) {
     thread.join();
   }
   threads_joined_ = true;

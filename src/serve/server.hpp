@@ -1,6 +1,6 @@
-// SegHdcServer: the asynchronous, pipelined serving layer on top of
-// SegHdcSession — the request-level shape the ROADMAP's "heavy traffic"
-// north star needs, where `segment_many` is the batch/barrier shape.
+// SegHdcServer: the asynchronous serving layer on top of SegHdcSession
+// — the request-level shape the ROADMAP's "heavy traffic" north star
+// needs, where `segment_many` is the batch/barrier shape.
 //
 //   serve::SegHdcServer server(config, {.queue_capacity = 64});
 //   std::future<core::SegmentationResult> f = server.submit(image);
@@ -10,17 +10,18 @@
 //
 // Architecture (one request flows left to right):
 //
-//   submit ──> [bounded MPMC queue] ──> encode stage ──> [encoded queue]
-//                (backpressure)          workers             (bounded)
-//                                                      ──> cluster stage ──> future /
-//                                                           workers           sink
+//   submit ──> [bounded MPMC queue] ──> N workers ──> future / sink
+//                (backpressure)          encode + cluster, whole image
 //
-// The two stages run on dedicated threads, so the encode of one image
-// overlaps the clustering of another; inside a stage the session fans
-// the per-image work (tiled encode bands, K-Means assignment/update)
-// out onto the configured util::ThreadPool. Each encode worker owns a
-// reusable SegHdcSession::Scratch arena, so sustained traffic stops
-// re-deriving position/color HVs exactly like `segment_many` workers do.
+// Each worker pops a request and runs it end to end: encode, then
+// cluster and finalize. Clustering is 85% or more of the per-image
+// work, so a separate encode stage would have almost nothing to
+// overlap with. Inside an image the session still fans the work (tiled
+// encode bands, K-Means assignment/update) out onto the configured
+// util::ThreadPool, which keeps an idle server's latency low. Each
+// worker owns a reusable SegHdcSession::Scratch arena, so sustained
+// traffic stops re-deriving position/color HVs exactly like
+// `segment_many` workers do.
 //
 // Guarantees:
 //   - Determinism: every delivered result is bit-identical to
@@ -31,7 +32,7 @@
 //     (kBlock, the default) or fails fast (kReject -> RejectedError).
 //   - Shutdown: kDrain completes everything accepted; kCancel fails
 //     still-queued requests with CancelledError and completes only what
-//     a stage already picked up. The destructor drains.
+//     a worker already picked up. The destructor drains.
 #ifndef SEGHDC_SERVE_SERVER_HPP
 #define SEGHDC_SERVE_SERVER_HPP
 
@@ -81,7 +82,7 @@ class RejectedError : public std::runtime_error {
 };
 
 /// Delivered through the future of a request that shutdown(kCancel)
-/// removed from the queue before any stage picked it up.
+/// removed from the queue before any worker picked it up.
 class CancelledError : public std::runtime_error {
  public:
   CancelledError() : std::runtime_error("SegHdcServer request cancelled") {}
@@ -96,35 +97,33 @@ class ShutdownError : public std::runtime_error {
 };
 
 /// Server construction knobs. The queue/backpressure pair is the
-/// admission policy; the worker counts shape the pipeline; none of them
-/// affect result content, only latency and throughput.
+/// admission policy; the worker count sets how many images run at once;
+/// none of them affect result content, only latency and throughput.
 struct ServerOptions {
   /// Submit-queue capacity; 0 = unbounded (kBlock never blocks and
   /// kReject never rejects).
   std::size_t queue_capacity = 0;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Dedicated encode-stage threads (>= 1). Each owns a warm
+  /// Whole-image worker threads (>= 1). Each owns a warm
   /// SegHdcSession::Scratch arena.
-  std::size_t encode_workers = 1;
-  /// Dedicated cluster/finalize-stage threads (>= 1).
-  std::size_t cluster_workers = 1;
-  /// Pool for the intra-stage data parallelism (tiled encode bands,
-  /// K-Means). nullptr = the process-wide shared pool.
+  std::size_t workers = 1;
+  /// Pool for the data parallelism inside one image (tiled encode
+  /// bands, K-Means). nullptr = the process-wide shared pool.
   util::ThreadPool* pool = nullptr;
-  /// Sliding-window size of the latency recorder (see LatencyRecorder).
+  /// Sliding-window size of the latency recorder (see obs::LatencyRecorder).
   std::size_t latency_window = 65536;
 };
 
 class SegHdcServer {
  public:
   /// Validates the config and options (std::invalid_argument on bad
-  /// values) and starts the stage threads; the server accepts requests
+  /// values) and starts the workers; the server accepts requests
   /// as soon as the constructor returns.
   explicit SegHdcServer(const core::SegHdcConfig& config,
                         const ServerOptions& options = {});
 
   /// Drains: blocks until every accepted request has completed, then
-  /// stops the stage threads.
+  /// stops the workers.
   ~SegHdcServer();
 
   SegHdcServer(const SegHdcServer&) = delete;
@@ -134,7 +133,7 @@ class SegHdcServer {
   const ServerOptions& options() const { return options_; }
 
   /// Enqueues one image; the future delivers the segmentation (bit-
-  /// identical to the synchronous path) or the stage's exception (e.g.
+  /// identical to the synchronous path) or the worker's exception (e.g.
   /// std::invalid_argument for an unsupported image, CancelledError
   /// under shutdown(kCancel)). The image is owned by the server until
   /// completion; pass by value and move when the caller's copy is not
@@ -148,12 +147,12 @@ class SegHdcServer {
   /// request), an `on_done` callback, and the admission stopwatch. The
   /// promise receives the result or the failure exactly as the future
   /// form's would; `on_done` is invoked exactly once per request — on
-  /// success, stage failure, and cancellation alike — so an admission
+  /// success, failure, and cancellation alike — so an admission
   /// layer (serve::SegHdcFleet) can release quota slots and reschedule.
   /// It fires immediately BEFORE the promise is fulfilled, mirroring
   /// the counter rule: by the time any future.get() returns, the
   /// admission layer's books already include the request. It runs on
-  /// stage threads (or the shutdown thread for cancelled requests):
+  /// worker threads (or the shutdown thread for cancelled requests):
   /// keep it short and never let it throw.
   /// `accepted` starts the latency clock, so a request that waited in a
   /// fleet queue before reaching this server is measured from fleet
@@ -164,12 +163,12 @@ class SegHdcServer {
 
   /// Callback form: `sink` is invoked exactly once with the result when
   /// the request completes successfully; it is dropped (never invoked)
-  /// if the request is cancelled or a stage throws — use the future form
-  /// when failures must be observed. Sink invocations are serialised
-  /// across requests but run on cluster-stage threads; keep them short
-  /// or the pipeline stalls. Sinks must not throw: an exception escaping
-  /// the sink is swallowed by the server (the request still counts as
-  /// completed).
+  /// if the request is cancelled or its worker throws — use the future
+  /// form when failures must be observed. Sink invocations are
+  /// serialised across requests but run on worker threads; keep them
+  /// short or the server stalls. Sinks must not throw: an exception
+  /// escaping the sink is swallowed by the server (the request still
+  /// counts as completed).
   void submit(img::ImageU8 image,
               std::function<void(core::SegmentationResult&&)> sink);
 
@@ -201,8 +200,8 @@ class SegHdcServer {
   /// processed strictly in submission order (frame N+1 warm-starts from
   /// frame N by definition), so one stream never pipelines against
   /// itself; different streams and batch requests interleave freely
-  /// across the encode workers. The future delivers the segmentation
-  /// plus the per-frame StreamFrameStats, or the failure (stage
+  /// across the workers. The future delivers the segmentation
+  /// plus the per-frame StreamFrameStats, or the failure (worker
   /// exception / CancelledError under shutdown(kCancel) — either way
   /// the stream stays usable and later frames still run, warm-starting
   /// from the last frame that completed). Backpressure and shutdown
@@ -212,8 +211,8 @@ class SegHdcServer {
 
   /// Stops the server. kDrain completes every accepted request first;
   /// kCancel fails still-queued requests with CancelledError and lets
-  /// requests a stage already picked up finish. Blocks until the stage
-  /// threads have exited. Idempotent and thread-safe; the first caller's
+  /// requests a worker already picked up finish. Blocks until the
+  /// workers have exited. Idempotent and thread-safe; the first caller's
   /// mode wins, later calls just wait for the stop to finish.
   void shutdown(ShutdownMode mode = ShutdownMode::kDrain);
 
@@ -263,23 +262,19 @@ class SegHdcServer {
   struct Request {
     img::ImageU8 image;
     Completion completion;
-    /// Set for stream frames; they are stage-fused on the encode worker
-    /// (frame N+1's encode depends on frame N's clustering, so there is
-    /// nothing to pipeline within a stream).
+    /// Set for stream frames (which run through segment_stream).
     std::optional<StreamJob> stream;
-  };
-  struct EncodedJob {
-    core::EncodedImage encoded;
-    double encode_seconds = 0.0;
-    Completion completion;
   };
 
   std::future<core::SegmentationResult> enqueue(img::ImageU8&& image,
                                                 Completion&& completion);
-  void encode_loop();
-  void cluster_loop();
-  /// Runs one stream frame end to end on the calling encode worker:
-  /// waits for the frame's turn, segments, advances the turn, delivers.
+  void worker_loop();
+  /// Runs one batch request end to end on the calling worker: encode,
+  /// then cluster and finalize, then delivers.
+  void process_request(Request&& request,
+                       core::SegHdcSession::Scratch& scratch);
+  /// Runs one stream frame end to end on the calling worker: waits for
+  /// the frame's turn, segments, advances the turn, delivers.
   void process_stream_frame(Request&& request);
   /// Releases a cancelled (never-run) stream frame's turn in order and
   /// fails its promise with CancelledError.
@@ -292,13 +287,6 @@ class SegHdcServer {
   ServerOptions options_;
   util::Stopwatch uptime_;
   util::BoundedQueue<Request> submit_queue_;
-  /// Stage hand-off; bounded so a slow cluster stage backpressures the
-  /// encode stage (and through it the submit queue) instead of piling
-  /// encoded images up in memory.
-  util::BoundedQueue<EncodedJob> encoded_queue_;
-  std::vector<std::thread> encode_threads_;
-  std::vector<std::thread> cluster_threads_;
-  std::atomic<std::size_t> live_encoders_{0};
 
   /// The single source of truth for every server counter: ServerStats
   /// is assembled from these handles, and metrics().render() exposes
@@ -336,6 +324,8 @@ class SegHdcServer {
   std::mutex sink_mutex_;      ///< serialises callback-sink invocations
   std::mutex shutdown_mutex_;  ///< one thread performs the join
   bool threads_joined_ = false;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace seghdc::serve

@@ -306,8 +306,7 @@ TEST(EvalPipeline, ExternalServerWithActiveStreamsStaysIdentical) {
   util::ThreadPool pool(4);
   serve::ServerOptions server_options;
   server_options.queue_capacity = test_queue_capacity();
-  server_options.encode_workers = 2;
-  server_options.cluster_workers = 2;
+  server_options.workers = 2;
   server_options.pool = &pool;
   serve::SegHdcServer server(config, server_options);
 

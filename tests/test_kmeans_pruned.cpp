@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/config.hpp"
@@ -24,6 +25,7 @@
 #include "src/hdc/simd/backend.hpp"
 #include "src/imaging/image.hpp"
 #include "src/metrics/segmentation_metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 
@@ -427,6 +429,35 @@ core::SegHdcConfig golden_config() {
   config.iterations = 4;
   config.seed = 42;
   return config;
+}
+
+TEST(PrunedAssignment, AssignSpansCarryEvaluatedAndPrunedCounts) {
+  // Every kmeans_assign span reports the pass's work split in its two
+  // arg slots, and the split conserves the n * K pairs of one pass.
+  const auto points = make_points(40, 512, 31);
+  const std::uint64_t n = points.size();
+  constexpr std::size_t kClusters = 16;
+  const HvKMeansConfig config{.clusters = kClusters,
+                              .iterations = 5,
+                              .assign_mode = AssignMode::kPruned};
+  const obs::TraceSession trace;
+  const auto result =
+      HvKMeans(config).run(points, {}, first_n_seeds(kClusters));
+  ASSERT_TRUE(result.pruned_assignment);
+  std::size_t spans = 0;
+  std::uint64_t pruned_total = 0;
+  for (const auto& event : trace.events()) {
+    if (std::string_view(event.name) != "kmeans_assign") {
+      continue;
+    }
+    ++spans;
+    EXPECT_STREQ(event.arg1_key, "evaluated");
+    EXPECT_STREQ(event.arg2_key, "pruned");
+    EXPECT_EQ(event.arg1_value + event.arg2_value, n * kClusters);
+    pruned_total += event.arg2_value;
+  }
+  EXPECT_EQ(spans, result.iterations_run);
+  EXPECT_EQ(pruned_total, result.ops.candidates_pruned);
 }
 
 TEST(PrunedAssignment, GoldenBatchHashUnchangedWithPruningForced) {

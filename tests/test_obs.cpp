@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -466,8 +468,7 @@ TEST(ServerMetrics, ServedBatchShowsUpInTheRegistry) {
   util::ThreadPool pool(3);
   serve::ServerOptions options;
   options.queue_capacity = 2;
-  options.encode_workers = 2;
-  options.cluster_workers = 2;
+  options.workers = 2;
   options.pool = &pool;
   serve::SegHdcServer server(golden_config(), options);
   const auto images = golden_batch();
@@ -518,11 +519,55 @@ TEST(ServerMetrics, ServedBatchShowsUpInTheRegistry) {
   EXPECT_EQ(clusters, 3u);
 }
 
+TEST(ServerMetrics, EachRequestRunsWholeOnOneWorker) {
+  // One serving shape: the worker that pops a request encodes it and
+  // then clusters it, so a request's encode and cluster_finalize spans
+  // share a thread and never overlap — with several workers running.
+  const obs::TraceSession trace;
+  util::ThreadPool pool(2);
+  serve::ServerOptions options;
+  options.workers = 2;
+  options.pool = &pool;
+  serve::SegHdcServer server(golden_config(), options);
+  std::vector<std::future<core::SegmentationResult>> futures;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& image : golden_batch()) {
+      futures.push_back(server.submit(image));
+    }
+  }
+  for (auto& future : futures) {
+    future.get();
+  }
+  server.shutdown(serve::ShutdownMode::kDrain);
+
+  const std::vector<obs::TraceEvent> events = trace.events();
+  std::map<std::uint64_t, const obs::TraceEvent*> encodes;
+  std::map<std::uint64_t, const obs::TraceEvent*> clusters;
+  for (const auto& event : events) {
+    if (std::string_view(event.cat) != "serve") {
+      continue;
+    }
+    const std::string_view name = event.name;
+    if (name == "encode" || name == "cluster_finalize") {
+      EXPECT_STREQ(event.arg1_key, "req");
+      (name == "encode" ? encodes : clusters)[event.arg1_value] = &event;
+    }
+  }
+  ASSERT_EQ(encodes.size(), futures.size());
+  ASSERT_EQ(clusters.size(), futures.size());
+  for (const auto& [req, encode] : encodes) {
+    SCOPED_TRACE("req " + std::to_string(req));
+    ASSERT_EQ(clusters.count(req), 1u);
+    const obs::TraceEvent& cluster = *clusters.at(req);
+    EXPECT_EQ(cluster.tid, encode->tid);
+    EXPECT_GE(cluster.start_ns, encode->start_ns + encode->dur_ns);
+  }
+}
+
 TEST(ServerMetrics, TraceSessionJsonRoundTripsThroughAServedRequest) {
   const obs::TraceSession trace;
   serve::ServerOptions options;
-  options.encode_workers = 1;
-  options.cluster_workers = 1;
+  options.workers = 1;
   serve::SegHdcServer server(golden_config(), options);
   server.submit(make_gray_card(24, 20, 235)).get();
   server.shutdown(serve::ShutdownMode::kDrain);

@@ -1,4 +1,4 @@
-// Tier-1 suite for the async pipelined serving layer (src/serve/):
+// Tier-1 suite for the async serving layer (src/serve/):
 // SegHdcServer must deliver results bit-identical to the synchronous
 // session path at every queue capacity, worker count, pool size, and
 // backpressure policy — scheduling may reorder completions, never change
@@ -25,6 +25,7 @@
 
 #include "src/core/session.hpp"
 #include "src/metrics/segmentation_metrics.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/stats.hpp"
 #include "src/util/bounded_queue.hpp"
@@ -223,7 +224,7 @@ TEST(BoundedQueue, ConcurrentProducersConsumersDeliverEverythingOnce) {
 TEST(LatencyRecorder, NearestRankPercentilesOnKnownSequence) {
   // 1..100 recorded in shuffled-ish order: nearest-rank percentiles are
   // exactly the textbook values.
-  serve::LatencyRecorder recorder;
+  obs::LatencyRecorder recorder;
   for (int i = 100; i >= 1; --i) {
     recorder.record(static_cast<double>(i));
   }
@@ -238,7 +239,7 @@ TEST(LatencyRecorder, NearestRankPercentilesOnKnownSequence) {
 }
 
 TEST(LatencyRecorder, SmallSampleCountsRoundUpToARealSample) {
-  serve::LatencyRecorder recorder;
+  obs::LatencyRecorder recorder;
   recorder.record(10.0);
   recorder.record(20.0);
   recorder.record(30.0);
@@ -252,7 +253,7 @@ TEST(LatencyRecorder, SmallSampleCountsRoundUpToARealSample) {
 }
 
 TEST(LatencyRecorder, WindowSlidesButTotalsCoverEverything) {
-  serve::LatencyRecorder recorder(4);  // window of 4
+  obs::LatencyRecorder recorder(4);  // window of 4
   for (int i = 1; i <= 8; ++i) {
     recorder.record(static_cast<double>(i));
   }
@@ -270,7 +271,7 @@ TEST(LatencyRecorder, WindowSlidesButTotalsCoverEverything) {
 }
 
 TEST(LatencyRecorder, WindowCountMatchesCountBeforeTheWindowWraps) {
-  serve::LatencyRecorder recorder(4);
+  obs::LatencyRecorder recorder(4);
   recorder.record(1.0);
   recorder.record(2.0);
   const auto p = recorder.snapshot();
@@ -279,7 +280,7 @@ TEST(LatencyRecorder, WindowCountMatchesCountBeforeTheWindowWraps) {
 }
 
 TEST(LatencyRecorder, EmptySnapshotIsAllZero) {
-  const serve::LatencyRecorder recorder;
+  const obs::LatencyRecorder recorder;
   const auto p = recorder.snapshot();
   EXPECT_EQ(p.count, 0u);
   EXPECT_DOUBLE_EQ(p.p99_seconds, 0.0);
@@ -287,12 +288,12 @@ TEST(LatencyRecorder, EmptySnapshotIsAllZero) {
 
 TEST(PercentileNearestRank, EdgeRanks) {
   const std::vector<double> one{42.0};
-  EXPECT_DOUBLE_EQ(serve::percentile_nearest_rank(one, 50.0), 42.0);
-  EXPECT_DOUBLE_EQ(serve::percentile_nearest_rank(one, 99.0), 42.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_nearest_rank(one, 50.0), 42.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_nearest_rank(one, 99.0), 42.0);
   const std::vector<double> four{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(serve::percentile_nearest_rank(four, 25.0), 1.0);
-  EXPECT_DOUBLE_EQ(serve::percentile_nearest_rank(four, 100.0), 4.0);
-  EXPECT_DOUBLE_EQ(serve::percentile_nearest_rank(four, 0.1), 1.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_nearest_rank(four, 25.0), 1.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_nearest_rank(four, 100.0), 4.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_nearest_rank(four, 0.1), 1.0);
 }
 
 // --- The golden gate: the acceptance-criteria sweep. ---
@@ -314,8 +315,7 @@ TEST(SegHdcServer, GoldenBatchHashAtEveryQueueCapacityAndPoolSize) {
         serve::ServerOptions options;
         options.queue_capacity = capacity;
         options.backpressure = policy;
-        options.encode_workers = threads >= 2 ? 2 : 1;
-        options.cluster_workers = threads >= 2 ? 2 : 1;
+        options.workers = threads >= 2 ? 2 : 1;
         options.pool = &pool;
         serve::SegHdcServer server(config, options);
         std::vector<core::SegmentationResult> results;
@@ -372,8 +372,7 @@ TEST(SegHdcServer, ResultsMatchSynchronousPathPerIndex) {
   util::ThreadPool pool(4);
   serve::ServerOptions options;
   options.queue_capacity = test_queue_capacity();
-  options.encode_workers = 2;
-  options.cluster_workers = 2;
+  options.workers = 2;
   options.pool = &pool;
   serve::SegHdcServer server(config, options);
   const auto results = serve_batch(server, images);
@@ -395,8 +394,7 @@ TEST(SegHdcServer, SinkOverloadDeliversEveryResultExactlyOnce) {
   util::ThreadPool pool(2);
   serve::ServerOptions options;
   options.queue_capacity = test_queue_capacity();
-  options.encode_workers = 2;
-  options.cluster_workers = 2;
+  options.workers = 2;
   options.pool = &pool;
   std::vector<core::SegmentationResult> delivered(images.size());
   std::vector<std::atomic<int>> calls(images.size());
@@ -445,8 +443,7 @@ TEST(SegHdcServer, DeterministicUnderForcedContention) {
     util::ThreadPool pool(4);
     serve::ServerOptions options;
     options.queue_capacity = 1;  // every submit contends
-    options.encode_workers = 3;
-    options.cluster_workers = 2;
+    options.workers = 3;
     options.pool = &pool;
     serve::SegHdcServer server(config, options);
     const auto results = serve_batch(server, images);
@@ -490,7 +487,7 @@ TEST(SegHdcServer, ShutdownDrainCompletesEverythingAccepted) {
 TEST(SegHdcServer, ShutdownCancelFailsQueuedAndFinishesInFlight) {
   const auto config = golden_config();
   const core::SegHdcSession reference(config);
-  // One slow image at the head keeps the single encode worker busy while
+  // One slow image at the head keeps the single worker busy while
   // the rest pile up in the queue, so an immediate cancel finds them
   // still queued. The assertions stay valid under any scheduling: each
   // future either completes bit-identically or fails with
@@ -560,7 +557,7 @@ TEST(SegHdcServer, RejectPolicyFailsFastAndAcceptedWorkStaysExact) {
   options.pool = &pool;
   serve::SegHdcServer server(config, options);
 
-  // A large head image occupies the encode worker for many milliseconds;
+  // A large head image occupies the worker for many milliseconds;
   // the burst behind it can't all fit a 1-slot queue.
   std::vector<img::ImageU8> images;
   images.push_back(make_rgb_card(96, 96));
@@ -635,7 +632,7 @@ TEST(SegHdcServer, StatsCountersAndLatencyAreCoherentAfterDrain) {
   const auto images = golden_batch();
   serve::ServerOptions options;
   options.queue_capacity = test_queue_capacity();
-  options.encode_workers = 2;
+  options.workers = 2;
   serve::SegHdcServer server(config, options);
   std::vector<std::future<core::SegmentationResult>> futures;
   for (int round = 0; round < 2; ++round) {
@@ -665,17 +662,14 @@ TEST(SegHdcServer, ValidatesOptionsAndConfig) {
   EXPECT_THROW(serve::SegHdcServer{bad_config}, std::invalid_argument);
 
   serve::ServerOptions zero_workers;
-  zero_workers.encode_workers = 0;
+  zero_workers.workers = 0;
   EXPECT_THROW(serve::SegHdcServer(golden_config(), zero_workers),
-               std::invalid_argument);
-  serve::ServerOptions zero_cluster;
-  zero_cluster.cluster_workers = 0;
-  EXPECT_THROW(serve::SegHdcServer(golden_config(), zero_cluster),
                std::invalid_argument);
 }
 
-// --- Stage entry points on the session itself: the split the server is
-// built on must be bit-identical to the fused path. ---
+// --- Stage entry points on the session itself: the encode /
+// cluster_and_finalize pair each server worker runs must be
+// bit-identical to the fused path. ---
 
 TEST(SegHdcSession, StageSplitMatchesFusedSegment) {
   auto config = golden_config();

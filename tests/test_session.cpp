@@ -254,10 +254,9 @@ TEST(SegHdcSession, SegmentManyGoldenLabelHash) {
 
 TEST(SegHdcSession, ServerMatchesSegmentManyOnTheGoldenBatch) {
   // Satellite equivalence gate for the serving layer: the async
-  // pipelined SegHdcServer (src/serve/) must reproduce segment_many's
-  // combined label hash — and therefore the golden constant — on the
-  // exact batch above. Pipelining changes completion order, never
-  // content.
+  // SegHdcServer (src/serve/) must reproduce segment_many's combined
+  // label hash — and therefore the golden constant — on the exact batch
+  // above. Concurrent workers change completion order, never content.
   std::vector<img::ImageU8> images;
   images.push_back(make_gray_card(32, 30, 200));
   images.push_back(make_rgb_card(36, 28));
@@ -276,8 +275,7 @@ TEST(SegHdcSession, ServerMatchesSegmentManyOnTheGoldenBatch) {
 
   serve::ServerOptions options;
   options.queue_capacity = 2;
-  options.encode_workers = 2;
-  options.cluster_workers = 2;
+  options.workers = 2;
   options.pool = &pool;
   serve::SegHdcServer server(config, options);
   std::vector<std::future<core::SegmentationResult>> futures;

@@ -331,10 +331,10 @@ TEST(Stream, ServerStreamMatchesSessionStream) {
     expected.push_back(reference.segment_stream(frame, reference_stream));
   }
 
-  for (const std::size_t encode_workers : {1u, 3u}) {
-    SCOPED_TRACE("encode_workers=" + std::to_string(encode_workers));
+  for (const std::size_t workers : {1u, 3u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
     serve::ServerOptions options;
-    options.encode_workers = encode_workers;
+    options.workers = workers;
     serve::SegHdcServer server(config, options);
     auto stream = server.open_stream();
     std::vector<std::future<core::StreamFrameResult>> futures;
@@ -374,7 +374,7 @@ TEST(Stream, TwoStreamsOnOneServerStayIndependent) {
   const auto expected_b1 = reference.segment_stream(frame_b, ref_b);
 
   serve::ServerOptions options;
-  options.encode_workers = 2;
+  options.workers = 2;
   serve::SegHdcServer server(config, options);
   auto stream_a = server.open_stream();
   auto stream_b = server.open_stream();
@@ -401,7 +401,7 @@ TEST(Stream, ShutdownCancelNeverWedgesAStream) {
   // CancelledError, nothing hangs.
   const auto config = stream_config();
   serve::ServerOptions options;
-  options.encode_workers = 1;
+  options.workers = 1;
   serve::SegHdcServer server(config, options);
   auto stream = server.open_stream();
   const auto frame = scene_with_square(32, 30, 8, 20);
