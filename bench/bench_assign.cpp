@@ -105,6 +105,8 @@ double assign_seconds_of(const std::vector<obs::TraceEvent>& events) {
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"backend", "csv", "dim", "distance", "iterations",
+                      "k-list", "points", "repeats", "seed", "threads"});
   const auto points_count =
       static_cast<std::size_t>(cli.get_int("points", 3000));
   const auto dim = static_cast<std::size_t>(cli.get_int("dim", 2048));

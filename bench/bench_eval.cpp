@@ -15,7 +15,7 @@
 //                  (exercises PNG I/O + loader + eval end to end).
 //   --check-paths  runs the sweep on ALL three execution paths and
 //                  exits 1 unless the label fingerprints and mIoU agree
-//                  bit for bit — the CI eval-smoke gate.
+//                  bit for bit — the ctest `smoke_eval_*` gates.
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -47,6 +47,8 @@ bench::DatasetId parse_dataset(const std::string& name) {
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"batch", "check-paths", "dataset", "dim", "disk",
+                      "images", "out", "paper", "path", "tag"});
   bench::Scale scale = cli.get_flag("paper") ? bench::Scale::paper_scale()
                                              : bench::Scale::host();
   const auto images = static_cast<std::size_t>(

@@ -484,6 +484,10 @@ int run_stream_bench(const util::Cli& cli, const core::SegHdcConfig& config,
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"backend", "beta", "clusters", "csv", "dim", "height",
+                      "images", "iterations", "max-in-flight-total", "quantize",
+                      "queue", "repeats", "seed", "stream", "tenants",
+                      "threads", "trace", "width", "workers"});
   const auto image_count =
       static_cast<std::size_t>(cli.get_int("images", 24));
   const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 3));

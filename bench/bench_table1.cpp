@@ -46,6 +46,8 @@ struct Row {
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"batch", "datasets", "images", "json", "out", "paper",
+                      "path", "skip-baseline"});
   bench::Scale scale = cli.get_flag("paper") ? bench::Scale::paper_scale()
                                              : bench::Scale::host();
   scale.images = static_cast<std::size_t>(

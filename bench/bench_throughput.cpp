@@ -184,6 +184,9 @@ int run_single_image(const util::Cli& cli, core::SegHdcConfig config,
 
 int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"backend", "beta", "clusters", "csv", "dim", "height",
+                      "images", "iterations", "quantize", "repeats", "seed",
+                      "single-image", "threads", "tile-rows", "width"});
   const auto image_count =
       static_cast<std::size_t>(cli.get_int("images", 16));
   const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 3));

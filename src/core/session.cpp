@@ -90,6 +90,184 @@ std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t count) {
   return hash;
 }
 
+/// Pixel (x, y)'s dedup color: each channel quantised to its bucket
+/// midpoint, unused channels zero.
+std::array<std::uint8_t, 3> quantized_color(const img::ImageU8& image,
+                                            std::size_t x, std::size_t y,
+                                            std::size_t shift) {
+  std::array<std::uint8_t, 3> color{0, 0, 0};
+  for (std::size_t c = 0; c < image.channels(); ++c) {
+    color[c] = quantize_midpoint(image(x, y, c), shift);
+  }
+  return color;
+}
+
+/// One unique point: its representative (first-occurrence) pixel and
+/// quantised color.
+struct UniqueRef {
+  std::size_t x, y;
+  std::array<std::uint8_t, 3> color;
+};
+
+/// The dedup table of one row band: per local unique point, in the
+/// band's row-major first-occurrence order, its key, ref, and pixel
+/// weight. `remap` (local id -> global id) is filled by `merge_bands`.
+/// Reused across images (cleared, capacity retained).
+struct Band {
+  std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
+  std::vector<std::uint64_t> keys;
+  std::vector<UniqueRef> refs;
+  std::vector<std::uint32_t> weights;
+  std::vector<std::uint32_t> remap;
+};
+
+/// Where a merged unique point first occurred: band and band-local id.
+struct Origin {
+  std::uint32_t band;
+  std::uint32_t local;
+};
+
+/// Memoised position and color HVs. Their values are pure functions of
+/// the encoder state, so they survive across images of one geometry.
+/// Node-based maps: value addresses are stable across rehashing, so the
+/// per-point views may point into them.
+struct HvMemo {
+  std::unordered_map<std::uint64_t, hdc::HyperVector> position_cache;
+  std::unordered_map<std::uint32_t, hdc::HyperVector> color_cache;
+  std::vector<const hdc::HyperVector*> position_of;
+  std::vector<const hdc::HyperVector*> color_of;
+};
+
+/// The dedup scan of rows [y_begin, y_end): keys every pixel by (row
+/// block, column block, quantised color) and records each key's first
+/// occurrence in `band`, counting pixel weights on the way. Writes each
+/// band pixel's band-local id, row-major, to `local_ids`.
+void scan_band(const img::ImageU8& image, const PositionEncoder& position,
+               std::size_t shift, std::size_t y_begin, std::size_t y_end,
+               double unique_ratio, Band& band,
+               std::span<std::uint32_t> local_ids) {
+  const std::size_t width = image.width();
+  band.key_to_local.clear();
+  band.keys.clear();
+  band.refs.clear();
+  band.weights.clear();
+  band.key_to_local.reserve(
+      expected_unique((y_end - y_begin) * width, unique_ratio));
+  std::size_t i = 0;
+  for (std::size_t y = y_begin; y < y_end; ++y) {
+    for (std::size_t x = 0; x < width; ++x) {
+      const auto color = quantized_color(image, x, y, shift);
+      // kRandom position HVs differ per block index as well, so the
+      // same key function applies to every encoding variant.
+      const std::uint64_t key =
+          make_key(position.row_block(y), position.col_block(x), color);
+      const auto [it, inserted] = band.key_to_local.try_emplace(
+          key, static_cast<std::uint32_t>(band.refs.size()));
+      if (inserted) {
+        band.keys.push_back(key);
+        band.refs.push_back(UniqueRef{x, y, color});
+        band.weights.push_back(0);
+      }
+      ++band.weights[it->second];
+      local_ids[i++] = it->second;
+    }
+  }
+}
+
+/// The fixed band-order merge into the empty `key_to_unique`. A key's
+/// global id is assigned at its first band (bands are row-ordered and
+/// each band's locals are in row-major first-occurrence order), so ids
+/// replicate the serial row-major scan exactly. Fills each band's
+/// `remap`, the first-occurrence `origin` and summed pixel `weights` of
+/// every global unique. Work is O(sum of band unique counts), not
+/// O(pixels).
+template <typename BandT>
+void merge_bands(std::span<BandT> bands, std::size_t expected,
+                 std::unordered_map<std::uint64_t, std::uint32_t>&
+                     key_to_unique,
+                 std::vector<Origin>& origin,
+                 std::vector<std::uint32_t>& weights) {
+  key_to_unique.reserve(expected);
+  origin.clear();
+  weights.clear();
+  for (std::size_t t = 0; t < bands.size(); ++t) {
+    Band& band = bands[t];
+    band.remap.resize(band.keys.size());
+    for (std::size_t local = 0; local < band.keys.size(); ++local) {
+      const auto [it, inserted] = key_to_unique.try_emplace(
+          band.keys[local], static_cast<std::uint32_t>(origin.size()));
+      if (inserted) {
+        origin.push_back(Origin{static_cast<std::uint32_t>(t),
+                                static_cast<std::uint32_t>(local)});
+        weights.push_back(0);
+      }
+      band.remap[local] = it->second;
+      weights[it->second] += band.weights[local];
+    }
+  }
+}
+
+/// Encodes `refs` into rows of `hvs`. Position HVs repeat across every
+/// color in a block and color HVs repeat across blocks, so each distinct
+/// HV is memoised in `memo` and built once per session geometry; the
+/// per-point work left is one word-parallel XOR straight into the packed
+/// block, data-parallel over points. Also fills each point's intensity.
+void bind_unique(std::span<const UniqueRef> refs,
+                 const PositionEncoder& position, const ColorEncoder& color,
+                 HvMemo& memo, util::ThreadPool& pool,
+                 std::vector<std::uint8_t>& intensities, hdc::HvBlock& hvs) {
+  const std::size_t channels = color.config().channels;
+  intensities.resize(refs.size());
+  memo.position_of.assign(refs.size(), nullptr);
+  memo.color_of.assign(refs.size(), nullptr);
+  for (std::size_t u = 0; u < refs.size(); ++u) {
+    const auto& ref = refs[u];
+    const std::uint64_t position_key =
+        (static_cast<std::uint64_t>(position.row_block(ref.y)) << 20) |
+        position.col_block(ref.x);
+    auto pos_it = memo.position_cache.find(position_key);
+    if (pos_it == memo.position_cache.end()) {
+      pos_it = memo.position_cache
+                   .emplace(position_key, position.encode(ref.y, ref.x))
+                   .first;
+    }
+    memo.position_of[u] = &pos_it->second;
+    const std::uint32_t color_key =
+        (static_cast<std::uint32_t>(ref.color[0]) << 16) |
+        (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
+    auto color_it = memo.color_cache.find(color_key);
+    if (color_it == memo.color_cache.end()) {
+      color_it = memo.color_cache
+                     .emplace(color_key,
+                              color.encode(std::span<const std::uint8_t>(
+                                  ref.color.data(), channels)))
+                     .first;
+    }
+    memo.color_of[u] = &color_it->second;
+    intensities[u] =
+        channels == 1 ? ref.color[0]
+                      : img::luma(ref.color[0], ref.color[1], ref.color[2]);
+  }
+  hvs = hdc::HvBlock(color.config().dim, refs.size());
+  pool.parallel_for(
+      0, refs.size(),
+      [&](std::size_t u) {
+        hdc::kernels::xor_words(hvs.row(u), memo.position_of[u]->words(),
+                                memo.color_of[u]->words());
+      },
+      /*grain=*/64);
+}
+
+/// Maps one band's pixels from band-local to global ids through the
+/// band's merge `remap`. `global_ids` may alias `local_ids`.
+void relabel(std::span<const std::uint32_t> remap,
+             std::span<const std::uint32_t> local_ids,
+             std::span<std::uint32_t> global_ids) {
+  for (std::size_t i = 0; i < local_ids.size(); ++i) {
+    global_ids[i] = remap[local_ids[i]];
+  }
+}
+
 }  // namespace
 
 /// The immutable encoder state for one image geometry: the position and
@@ -124,61 +302,32 @@ struct SegHdcSession::EncoderState {
             rng) {}
 };
 
-/// Reusable per-worker arena for encode: the dedup map, the unique-point
-/// refs, and the memoised position/color HVs. The HV caches are keyed by
-/// encoder state and survive across images of the same geometry (their
-/// values are pure functions of the state), so a worker streaming
-/// similar frames stops re-deriving the same HVs; the per-image
-/// containers are cleared (capacity retained) between calls.
+/// Reusable per-worker arena for encode: the band dedup tables, the
+/// merge state, and the memoised position/color HVs. The HV memo is
+/// keyed by encoder state and survives across images of the same
+/// geometry, so a worker streaming similar frames stops re-deriving the
+/// same HVs; the per-image containers are cleared (capacity retained)
+/// between calls.
 struct SegHdcSession::EncodeScratch {
-  struct UniqueRef {
-    std::size_t x, y;  ///< representative pixel
-    std::array<std::uint8_t, 3> color;
-  };
-
-  /// Phase-1 arena of one row band: the band's local dedup table and,
-  /// per local unique point, its key, first-occurrence ref, and pixel
-  /// weight. `remap` (local id -> global id) is filled by the fixed
-  /// band-order merge. One per tile, reused across images (cleared,
-  /// capacity retained) like the rest of the scratch.
-  struct TileScratch {
-    std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
-    std::vector<std::uint64_t> keys;
-    std::vector<UniqueRef> refs;
-    std::vector<std::uint32_t> weights;
-    std::vector<std::uint32_t> remap;
-
-    void begin_band(std::size_t band_pixels, double unique_ratio) {
-      key_to_local.clear();
-      keys.clear();
-      refs.clear();
-      weights.clear();
-      key_to_local.reserve(expected_unique(band_pixels, unique_ratio));
-    }
-  };
-
+  std::vector<Band> tiles;
   std::unordered_map<std::uint64_t, std::uint32_t> key_to_unique;
+  std::vector<Origin> origin;
+  /// Global unique refs of the multi-band and no-dedup encodes.
   std::vector<UniqueRef> refs;
-  std::vector<TileScratch> tiles;
   /// Unique ratio (unique points / pixels) observed on the previous
   /// image through this arena; seeds the dedup-map reserves so low-dedup
   /// images (noise, photos) don't rehash repeatedly mid-scan. Starts at
   /// the old fixed 1/4 heuristic.
   double last_unique_ratio = 0.25;
-  // Node-based maps: value addresses are stable across rehashing, so the
-  // per-point views below may point into them.
-  std::unordered_map<std::uint64_t, hdc::HyperVector> position_cache;
-  std::unordered_map<std::uint32_t, hdc::HyperVector> color_cache;
-  std::vector<const hdc::HyperVector*> position_of;
-  std::vector<const hdc::HyperVector*> color_of;
+  HvMemo memo;
   const EncoderState* cached_state = nullptr;
 
   void begin_image(const EncoderState& state, std::size_t dim) {
     key_to_unique.clear();
     refs.clear();
     if (cached_state != &state) {
-      position_cache.clear();
-      color_cache.clear();
+      memo.position_cache.clear();
+      memo.color_cache.clear();
       cached_state = &state;
     }
     // Backstop for adversarial color churn (high-entropy RGB streams):
@@ -189,16 +338,16 @@ struct SegHdcSession::EncodeScratch {
     const std::size_t word_budget = (8u << 20) / sizeof(std::uint64_t);
     const std::size_t entry_cap = std::clamp<std::size_t>(
         word_budget / hdc::kernels::words_for_dim(dim), 1024, 1u << 16);
-    if (color_cache.size() >= entry_cap) {
-      color_cache.clear();
+    if (memo.color_cache.size() >= entry_cap) {
+      memo.color_cache.clear();
     }
   }
 };
 
-/// Temporal cache for one ordered frame stream. Per row band (the PR-4
-/// tile layout, pinned per geometry when the stream starts): the band's
-/// pixel-byte hash, its local dedup table (keys, weights, band-local
-/// pixel ids), and its bound pixel HVs. Band-local encode outputs are
+/// Temporal cache for one ordered frame stream. Per row band (the tile
+/// layout, pinned per geometry when the stream starts): the band's
+/// pixel-byte hash, its dedup table and band-local pixel ids, and its
+/// bound pixel HVs. Band-local encode outputs are
 /// pure functions of the dedup keys — the position HV depends only on
 /// the block indices and the color HV only on the quantised color — so
 /// an unchanged band's cache IS its re-encode, bit for bit. Plus the
@@ -206,20 +355,15 @@ struct SegHdcSession::EncodeScratch {
 /// trigger), the previous result (replay payload), and the previous
 /// centroids' majority snapshots (warm K-Means seeds).
 struct SegHdcSession::StreamState {
-  struct BandCache {
+  struct BandCache : Band {
     std::uint64_t hash = 0;
     /// False until the band's dedup table AND HVs are fully built (a
     /// throw mid-rebuild must not leave a half-cache eligible for
     /// reuse).
     bool valid = false;
-    std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
-    std::vector<std::uint64_t> keys;                    // per local unique
-    std::vector<EncodeScratch::UniqueRef> refs;         // per local unique
-    std::vector<std::uint32_t> weights;                 // per local unique
-    std::vector<std::uint8_t> intensities;              // per local unique
-    hdc::HvBlock hvs;                                   // per local unique
-    std::vector<std::uint32_t> local_ids;               // per band pixel
-    std::vector<std::uint32_t> remap;  // local -> global, per frame
+    std::vector<std::uint8_t> intensities;  // per local unique
+    hdc::HvBlock hvs;                       // per local unique
+    std::vector<std::uint32_t> local_ids;   // per band pixel
   };
 
   std::uint64_t geometry = 0;  ///< geometry_key of the stream; 0 = none yet
@@ -428,8 +572,6 @@ SegHdcSession::EncodeScratch& SegHdcSession::shared_scratch() const {
 EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
                                         const EncoderState& state,
                                         EncodeScratch& scratch) const {
-  const PositionEncoder& position_encoder = state.position;
-  const ColorEncoder& color_encoder = state.color;
   scratch.begin_image(state, config_.dim);
 
   EncodedImage encoded;
@@ -438,30 +580,26 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
   encoded.pixel_to_unique.resize(image.pixel_count());
 
   // --- Pass 1: dedup keys, tiled into row bands. Each band builds its
-  // local key -> first-occurrence table in parallel (with per-pixel
-  // weights counted on the way); the bands are then merged into the
-  // global table in fixed band order, so unique-point IDs come out in
-  // exactly the order the old serial row-major scan assigned them —
-  // labels are bit-identical at every thread count and tile size. When
+  // local key -> first-occurrence table in parallel; the bands are then
+  // merged in fixed band order, so unique-point IDs come out in exactly
+  // the order a serial row-major scan assigns them — labels are
+  // bit-identical at every thread count and tile size. When
   // deduplication is disabled every pixel is its own "unique" point
   // with ID = pixel index (identical semantics, full cost), which the
   // bands fill directly. ---
-  auto& key_to_unique = scratch.key_to_unique;
-  auto& refs = scratch.refs;
   const std::size_t width = image.width();
   const std::size_t height = image.height();
   const std::size_t pixel_count = image.pixel_count();
   const std::size_t tile_rows = tile_rows_for(height);
   const std::size_t tile_count = (height + tile_rows - 1) / tile_rows;
-
   const std::size_t shift = config_.color_quantization_shift;
-  const auto quantized_color = [&](std::size_t x, std::size_t y) {
-    std::array<std::uint8_t, 3> color{0, 0, 0};
-    for (std::size_t c = 0; c < image.channels(); ++c) {
-      color[c] = quantize_midpoint(image(x, y, c), shift);
-    }
-    return color;
-  };
+  const double unique_ratio = scratch.last_unique_ratio;
+  const std::span<std::uint32_t> pixel_ids(encoded.pixel_to_unique);
+  auto& refs = scratch.refs;
+  std::span<const UniqueRef> uniques;
+  if (config_.deduplicate && scratch.tiles.size() < tile_count) {
+    scratch.tiles.resize(tile_count);
+  }
 
   if (!config_.deduplicate) {
     // Every pixel its own unique point: band-parallel direct fill.
@@ -473,181 +611,66 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
           for (std::size_t y = t * tile_rows; y < y_end; ++y) {
             for (std::size_t x = 0; x < width; ++x) {
               const std::size_t pixel_index = y * width + x;
-              encoded.pixel_to_unique[pixel_index] =
-                  static_cast<std::uint32_t>(pixel_index);
+              pixel_ids[pixel_index] = static_cast<std::uint32_t>(pixel_index);
               refs[pixel_index] =
-                  EncodeScratch::UniqueRef{x, y, quantized_color(x, y)};
+                  UniqueRef{x, y, quantized_color(image, x, y, shift)};
             }
           }
         },
         /*grain=*/1);
-    encoded.weights.assign(refs.size(), 1);
+    encoded.weights.assign(pixel_count, 1);
+    uniques = refs;
   } else if (tile_count == 1) {
-    // One band: scan straight into the global table — the serial
-    // reference path, with no double-hash merge overhead. This is also
-    // the segment_many worker shape (SerialScope pins auto to one band).
-    key_to_unique.reserve(
-        expected_unique(pixel_count, scratch.last_unique_ratio));
-    encoded.weights.clear();
-    for (std::size_t y = 0; y < height; ++y) {
-      for (std::size_t x = 0; x < width; ++x) {
-        const auto color = quantized_color(x, y);
-        // kRandom position HVs differ per block index as well, so the
-        // same key function applies to every encoding variant.
-        const std::uint64_t key = make_key(position_encoder.row_block(y),
-                                           position_encoder.col_block(x),
-                                           color);
-        const auto [it, inserted] = key_to_unique.try_emplace(
-            key, static_cast<std::uint32_t>(refs.size()));
-        if (inserted) {
-          refs.push_back(EncodeScratch::UniqueRef{x, y, color});
-          encoded.weights.push_back(0);
-        }
-        ++encoded.weights[it->second];
-        encoded.pixel_to_unique[y * width + x] = it->second;
-      }
-    }
+    // One band: its locals are the global uniques, so there is no merge
+    // and no second hash. This is also the segment_many worker shape
+    // (SerialScope pins auto to one band).
+    Band& band = scratch.tiles[0];
+    scan_band(image, state.position, shift, 0, height, unique_ratio, band,
+              pixel_ids);
+    encoded.weights = std::move(band.weights);
+    uniques = band.refs;
   } else {
-    if (scratch.tiles.size() < tile_count) {
-      scratch.tiles.resize(tile_count);
-    }
-    const double unique_ratio = scratch.last_unique_ratio;
-    // Phase 1a: per-band local dedup tables, in parallel. Band t only
-    // touches its own arena and its own slice of pixel_to_unique (which
-    // temporarily holds band-local IDs).
+    const std::span<Band> bands = std::span(scratch.tiles).first(tile_count);
+    const auto band_ids = [&](std::size_t t) {
+      const std::size_t begin = t * tile_rows * width;
+      return pixel_ids.subspan(
+          begin, std::min(pixel_count, begin + tile_rows * width) - begin);
+    };
+    // Band t only touches its own table and its own slice of
+    // pixel_to_unique, which holds band-local IDs until the relabel.
     pool().parallel_for(
         0, tile_count,
         [&](std::size_t t) {
           const obs::SpanScope span("encode_band", "core", "band", t);
-          auto& tile = scratch.tiles[t];
           const std::size_t y_begin = t * tile_rows;
-          const std::size_t y_end = std::min(height, y_begin + tile_rows);
-          tile.begin_band((y_end - y_begin) * width, unique_ratio);
-          for (std::size_t y = y_begin; y < y_end; ++y) {
-            for (std::size_t x = 0; x < width; ++x) {
-              const auto color = quantized_color(x, y);
-              const std::uint64_t key =
-                  make_key(position_encoder.row_block(y),
-                           position_encoder.col_block(x), color);
-              const auto [it, inserted] = tile.key_to_local.try_emplace(
-                  key, static_cast<std::uint32_t>(tile.refs.size()));
-              if (inserted) {
-                tile.keys.push_back(key);
-                tile.refs.push_back(EncodeScratch::UniqueRef{x, y, color});
-                tile.weights.push_back(0);
-              }
-              ++tile.weights[it->second];
-              encoded.pixel_to_unique[y * width + x] = it->second;
-            }
-          }
+          scan_band(image, state.position, shift, y_begin,
+                    std::min(height, y_begin + tile_rows), unique_ratio,
+                    bands[t], band_ids(t));
         },
         /*grain=*/1);
-
-    // Phase 1b: merge bands in fixed order. A key's global ID is
-    // assigned at its first band (bands are row-ordered and each band's
-    // locals are in row-major first-occurrence order), so IDs — and the
-    // representative refs — replicate the serial scan exactly. Work is
-    // O(sum of band unique counts), not O(pixels).
-    key_to_unique.reserve(
-        expected_unique(pixel_count, scratch.last_unique_ratio));
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      auto& tile = scratch.tiles[t];
-      tile.remap.resize(tile.refs.size());
-      for (std::size_t local = 0; local < tile.refs.size(); ++local) {
-        const auto [it, inserted] = key_to_unique.try_emplace(
-            tile.keys[local], static_cast<std::uint32_t>(refs.size()));
-        if (inserted) {
-          refs.push_back(tile.refs[local]);
-        }
-        tile.remap[local] = it->second;
-      }
+    merge_bands(bands, expected_unique(pixel_count, unique_ratio),
+                scratch.key_to_unique, scratch.origin, encoded.weights);
+    for (const Origin& o : scratch.origin) {
+      refs.push_back(bands[o.band].refs[o.local]);
     }
-    // Weight histogram: per-band counts were taken in phase 1a, so the
-    // old serial O(pixels) pass shrinks to summing band partials over
-    // the merged unique set.
-    encoded.weights.assign(refs.size(), 0);
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      const auto& tile = scratch.tiles[t];
-      for (std::size_t local = 0; local < tile.refs.size(); ++local) {
-        encoded.weights[tile.remap[local]] += tile.weights[local];
-      }
-    }
-    // Phase 1c: relabel each band's pixels from band-local to global
-    // IDs, band-parallel again.
     pool().parallel_for(
         0, tile_count,
         [&](std::size_t t) {
-          const auto& remap = scratch.tiles[t].remap;
-          const std::size_t begin = t * tile_rows * width;
-          const std::size_t end =
-              std::min(height, (t + 1) * tile_rows) * width;
-          for (std::size_t p = begin; p < end; ++p) {
-            encoded.pixel_to_unique[p] = remap[encoded.pixel_to_unique[p]];
-          }
+          const auto ids = band_ids(t);
+          relabel(bands[t].remap, ids, ids);
         },
         /*grain=*/1);
+    uniques = refs;
   }
   // Images are validated non-empty, so pixel_count >= 1 here.
   scratch.last_unique_ratio =
-      static_cast<double>(refs.size()) / static_cast<double>(pixel_count);
+      static_cast<double>(uniques.size()) / static_cast<double>(pixel_count);
 
-  // --- Pass 2a: memoise the position and color HVs. Position HVs
-  // repeat across every color in a block and color HVs repeat across
-  // blocks, so each distinct HV is built exactly once per session
-  // geometry; the per-point work left over is one word-parallel XOR. ---
-  encoded.intensities.resize(refs.size());
-  auto& position_cache = scratch.position_cache;
-  auto& color_cache = scratch.color_cache;
-  auto& position_of = scratch.position_of;
-  auto& color_of = scratch.color_of;
-  position_of.assign(refs.size(), nullptr);
-  color_of.assign(refs.size(), nullptr);
-  for (std::size_t u = 0; u < refs.size(); ++u) {
-    const auto& ref = refs[u];
-    const std::uint64_t position_key =
-        (static_cast<std::uint64_t>(position_encoder.row_block(ref.y))
-         << 20) |
-        position_encoder.col_block(ref.x);
-    auto pos_it = position_cache.find(position_key);
-    if (pos_it == position_cache.end()) {
-      pos_it = position_cache
-                   .emplace(position_key,
-                            position_encoder.encode(ref.y, ref.x))
-                   .first;
-    }
-    position_of[u] = &pos_it->second;
-    const std::uint32_t color_key =
-        (static_cast<std::uint32_t>(ref.color[0]) << 16) |
-        (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
-    auto color_it = color_cache.find(color_key);
-    if (color_it == color_cache.end()) {
-      color_it =
-          color_cache
-              .emplace(color_key,
-                       color_encoder.encode(std::span<const std::uint8_t>(
-                           ref.color.data(), image.channels())))
-              .first;
-    }
-    color_of[u] = &color_it->second;
-    encoded.intensities[u] =
-        image.channels() == 1
-            ? ref.color[0]
-            : img::luma(ref.color[0], ref.color[1], ref.color[2]);
-  }
-  // --- Pass 2b: bind position x color straight into the packed block,
-  // data-parallel over unique points. No per-point HyperVector is
-  // allocated; each row is one fused XOR over cached word spans. ---
-  encoded.unique_hvs = hdc::HvBlock(config_.dim, refs.size());
-  pool().parallel_for(
-      0, refs.size(),
-      [&](std::size_t u) {
-        hdc::kernels::xor_words(encoded.unique_hvs.row(u),
-                                position_of[u]->words(),
-                                color_of[u]->words());
-      },
-      /*grain=*/64);
+  // --- Pass 2: memoise and bind the global uniques. ---
+  bind_unique(uniques, state.position, state.color, scratch.memo, pool(),
+              encoded.intensities, encoded.unique_hvs);
   encoded.ops.bind_xor_bits +=
-      static_cast<std::uint64_t>(refs.size()) * config_.dim;
+      static_cast<std::uint64_t>(uniques.size()) * config_.dim;
 
   // Fault injection: corrupt the encoded pixel HVs at the configured
   // bit-error rate (models storing them in an approximate memory).
@@ -901,8 +924,6 @@ EncodedImage SegHdcSession::encode_stream_impl(const img::ImageU8& image,
                                                const EncoderState& state,
                                                StreamState& stream,
                                                StreamFrameStats& stats) const {
-  const PositionEncoder& position_encoder = state.position;
-  const ColorEncoder& color_encoder = state.color;
   EncodeScratch& scratch = stream.scratch;
   scratch.begin_image(state, config_.dim);
 
@@ -918,14 +939,13 @@ EncodedImage SegHdcSession::encode_stream_impl(const img::ImageU8& image,
   const std::size_t tile_rows = stream.tile_rows;
   const std::size_t tile_count = stream.tile_count;
   const std::size_t shift = config_.color_quantization_shift;
+  const double unique_ratio = scratch.last_unique_ratio;
   stats.tiles_total = tile_count;
 
-  // --- Phase S1: per-band change detection + dirty-band dedup rebuild,
-  // band-parallel. A band is reused only when its byte hash matches AND
-  // an exact byte compare against the previous frame confirms it; on a
-  // miss the band's local dedup table (keys, weights, band-local pixel
-  // ids) is rebuilt exactly like cold phase 1a. ---
-  const double unique_ratio = scratch.last_unique_ratio;
+  // --- Phase S1: per-band change detection, band-parallel. A band is
+  // reused only when its byte hash matches AND an exact byte compare
+  // against the previous frame confirms it; on a miss the band reruns
+  // the cold dedup scan into its own band-local pixel ids. ---
   std::vector<std::uint8_t> reused(tile_count, 0);
   pool().parallel_for(
       0, tile_count,
@@ -948,131 +968,37 @@ EncodedImage SegHdcSession::encode_stream_impl(const img::ImageU8& image,
         span.arg("reused", 0);
         band.hash = hash;
         band.valid = false;  // until the HVs are rebuilt in phase S2
-        band.key_to_local.clear();
-        band.keys.clear();
-        band.refs.clear();
-        band.weights.clear();
-        band.local_ids.clear();
-        band.local_ids.reserve((y_end - y_begin) * width);
-        band.key_to_local.reserve(
-            expected_unique((y_end - y_begin) * width, unique_ratio));
-        for (std::size_t y = y_begin; y < y_end; ++y) {
-          for (std::size_t x = 0; x < width; ++x) {
-            std::array<std::uint8_t, 3> color{0, 0, 0};
-            for (std::size_t c = 0; c < channels; ++c) {
-              color[c] = quantize_midpoint(image(x, y, c), shift);
-            }
-            const std::uint64_t key =
-                make_key(position_encoder.row_block(y),
-                         position_encoder.col_block(x), color);
-            const auto [it, inserted] = band.key_to_local.try_emplace(
-                key, static_cast<std::uint32_t>(band.refs.size()));
-            if (inserted) {
-              band.keys.push_back(key);
-              band.refs.push_back(EncodeScratch::UniqueRef{x, y, color});
-              band.weights.push_back(0);
-            }
-            ++band.weights[it->second];
-            band.local_ids.push_back(it->second);
-          }
-        }
+        band.local_ids.resize((y_end - y_begin) * width);
+        scan_band(image, state.position, shift, y_begin, y_end, unique_ratio,
+                  band, band.local_ids);
       },
       /*grain=*/1);
 
-  // --- Phase S2: rebuild the dirty bands' HVs (cold pass 2a/2b, band
-  // scope): memoise position/color HVs serially through the shared
-  // caches, then bind band-local rows in parallel. Band-local HVs are
-  // pure functions of the dedup key, so a rebuilt band is bit-identical
-  // to what its cache held when the pixels last had these bytes. ---
+  // --- Phase S2: bind the dirty bands' locals. Band-local HVs are pure
+  // functions of the dedup key, so a rebuilt band is bit-identical to
+  // what its cache held when the pixels last had these bytes. ---
   std::uint64_t dirty_locals = 0;
   for (std::size_t t = 0; t < tile_count; ++t) {
     if (reused[t] != 0) {
       continue;
     }
     auto& band = stream.bands[t];
-    const std::size_t n_local = band.refs.size();
-    band.intensities.resize(n_local);
-    auto& position_of = scratch.position_of;
-    auto& color_of = scratch.color_of;
-    position_of.assign(n_local, nullptr);
-    color_of.assign(n_local, nullptr);
-    for (std::size_t u = 0; u < n_local; ++u) {
-      const auto& ref = band.refs[u];
-      const std::uint64_t position_key =
-          (static_cast<std::uint64_t>(position_encoder.row_block(ref.y))
-           << 20) |
-          position_encoder.col_block(ref.x);
-      auto pos_it = scratch.position_cache.find(position_key);
-      if (pos_it == scratch.position_cache.end()) {
-        pos_it = scratch.position_cache
-                     .emplace(position_key,
-                              position_encoder.encode(ref.y, ref.x))
-                     .first;
-      }
-      position_of[u] = &pos_it->second;
-      const std::uint32_t color_key =
-          (static_cast<std::uint32_t>(ref.color[0]) << 16) |
-          (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
-      auto color_it = scratch.color_cache.find(color_key);
-      if (color_it == scratch.color_cache.end()) {
-        color_it =
-            scratch.color_cache
-                .emplace(color_key,
-                         color_encoder.encode(std::span<const std::uint8_t>(
-                             ref.color.data(), channels)))
-                .first;
-      }
-      color_of[u] = &color_it->second;
-      band.intensities[u] =
-          channels == 1 ? ref.color[0]
-                        : img::luma(ref.color[0], ref.color[1], ref.color[2]);
-    }
-    band.hvs = hdc::HvBlock(config_.dim, n_local);
-    pool().parallel_for(
-        0, n_local,
-        [&](std::size_t u) {
-          hdc::kernels::xor_words(band.hvs.row(u), position_of[u]->words(),
-                                  color_of[u]->words());
-        },
-        /*grain=*/64);
-    dirty_locals += n_local;
+    bind_unique(band.refs, state.position, state.color, scratch.memo, pool(),
+                band.intensities, band.hvs);
+    dirty_locals += band.refs.size();
     band.valid = true;
   }
   encoded.ops.bind_xor_bits += dirty_locals * config_.dim;
 
-  // --- Phase S3: fixed band-order merge, exactly cold phase 1b: a key's
-  // global ID is assigned at its first band, so unique IDs, weights, and
-  // intensities replicate the serial row-major scan bit for bit whether
-  // a band came from cache or rebuild. The merged unique HVs are row
-  // copies from the owning band's cache. ---
-  struct Origin {
-    std::uint32_t band;
-    std::uint32_t local;
-  };
-  std::vector<Origin> origin;
-  auto& key_to_unique = scratch.key_to_unique;
-  key_to_unique.reserve(expected_unique(pixel_count, unique_ratio));
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    auto& band = stream.bands[t];
-    band.remap.resize(band.keys.size());
-    for (std::size_t local = 0; local < band.keys.size(); ++local) {
-      const auto [it, inserted] = key_to_unique.try_emplace(
-          band.keys[local], static_cast<std::uint32_t>(origin.size()));
-      if (inserted) {
-        origin.push_back(Origin{static_cast<std::uint32_t>(t),
-                                static_cast<std::uint32_t>(local)});
-      }
-      band.remap[local] = it->second;
-    }
-  }
+  // --- Phase S3: the cold fixed band-order merge, so unique IDs,
+  // weights, and intensities replicate the serial row-major scan bit for
+  // bit whether a band came from cache or rebuild. The merged unique HVs
+  // are row copies from the owning band's cache. ---
+  merge_bands(std::span(stream.bands),
+              expected_unique(pixel_count, unique_ratio),
+              scratch.key_to_unique, scratch.origin, encoded.weights);
+  const auto& origin = scratch.origin;
   const std::size_t n_unique = origin.size();
-  encoded.weights.assign(n_unique, 0);
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    const auto& band = stream.bands[t];
-    for (std::size_t local = 0; local < band.keys.size(); ++local) {
-      encoded.weights[band.remap[local]] += band.weights[local];
-    }
-  }
   encoded.intensities.resize(n_unique);
   encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
   pool().parallel_for(
@@ -1086,28 +1012,22 @@ EncodedImage SegHdcSession::encode_stream_impl(const img::ImageU8& image,
       },
       /*grain=*/64);
 
-  // --- Phase S4: relabel band-local pixel ids to global IDs,
-  // band-parallel (cold phase 1c, sourced from the band caches). ---
+  // --- Phase S4: relabel each band's cached local ids, band-parallel. ---
   pool().parallel_for(
       0, tile_count,
       [&](std::size_t t) {
         const auto& band = stream.bands[t];
-        const std::size_t p_begin = t * tile_rows * width;
-        for (std::size_t i = 0; i < band.local_ids.size(); ++i) {
-          encoded.pixel_to_unique[p_begin + i] =
-              band.remap[band.local_ids[i]];
-        }
+        relabel(band.remap, band.local_ids,
+                std::span(encoded.pixel_to_unique)
+                    .subspan(t * tile_rows * width, band.local_ids.size()));
       },
       /*grain=*/1);
 
   scratch.last_unique_ratio =
       static_cast<double>(n_unique) / static_cast<double>(pixel_count);
-  std::size_t reused_count = 0;
-  for (const std::uint8_t r : reused) {
-    reused_count += r;
-  }
-  stats.tiles_reused = reused_count;
-  stats.tiles_encoded = tile_count - reused_count;
+  stats.tiles_reused = static_cast<std::size_t>(
+      std::count(reused.begin(), reused.end(), 1));
+  stats.tiles_encoded = tile_count - stats.tiles_reused;
   return encoded;
 }
 

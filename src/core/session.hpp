@@ -258,6 +258,10 @@ class SegHdcSession {
   /// builds resolve to one winner).
   const EncoderState& state_for(const img::ImageU8& image) const;
 
+  /// Cold encode on the file-local band encoder in session.cpp: one
+  /// band scans straight into the global table; several bands scan in
+  /// parallel, merge in band order and relabel. Either way the global
+  /// uniques are then memoised and bound.
   EncodedImage encode_impl(const img::ImageU8& image,
                            const EncoderState& state,
                            EncodeScratch& scratch) const;
@@ -286,10 +290,11 @@ class SegHdcSession {
   SegmentationResult finalize_impl(EncodedImage encoded,
                                    const FinalizeOptions& options) const;
 
-  /// Stream-banded encode: like `encode_impl` but rides the per-band
-  /// caches in `stream`, re-encoding only bands whose bytes changed.
-  /// Output is bit-identical to `encode_impl` (op counts reflect work
-  /// actually done). Fills the tile fields of `stats`.
+  /// Stream-banded encode: the same band scan, merge, bind and relabel
+  /// as `encode_impl`, but only bands whose bytes changed are scanned
+  /// and bound; the rest reuse their caches in `stream`. Output is
+  /// bit-identical to `encode_impl` (op counts reflect work actually
+  /// done). Fills the tile fields of `stats`.
   EncodedImage encode_stream_impl(const img::ImageU8& image,
                                   const EncoderState& state,
                                   StreamState& stream,

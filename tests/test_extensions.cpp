@@ -1,62 +1,16 @@
 // Tests for the extension features layered over the paper's core:
-// permutation binding, histogram equalization, the Otsu classical
-// baseline, and the per-pixel confidence margins.
+// histogram equalization, the Otsu classical baseline, and the
+// per-pixel confidence margins.
 #include <gtest/gtest.h>
 
 #include "src/baseline/otsu_segmenter.hpp"
 #include "src/core/seghdc.hpp"
-#include "src/hdc/distances.hpp"
-#include "src/hdc/permutation.hpp"
 #include "src/imaging/filters.hpp"
 #include "src/metrics/segmentation_metrics.hpp"
 
 namespace {
 
 using namespace seghdc;
-
-// --- Permutation (rho). ---
-
-TEST(Permutation, RotateByZeroIsIdentity) {
-  util::Rng rng(1);
-  const auto hv = hdc::HyperVector::random(300, rng);
-  EXPECT_EQ(hdc::rotate(hv, 0), hv);
-  EXPECT_EQ(hdc::rotate(hv, 300), hv);  // full cycle
-}
-
-TEST(Permutation, RotatePreservesPopcount) {
-  util::Rng rng(2);
-  const auto hv = hdc::HyperVector::random(257, rng);
-  for (const std::size_t shift : {1u, 7u, 64u, 130u, 256u}) {
-    EXPECT_EQ(hdc::rotate(hv, shift).popcount(), hv.popcount());
-  }
-}
-
-TEST(Permutation, RotateMovesBitsCorrectly) {
-  hdc::HyperVector hv(8);
-  hv.set(3, true);
-  const auto rotated = hdc::rotate(hv, 2);  // bit i <- bit (i+2) mod 8
-  EXPECT_TRUE(rotated.get(1));
-  EXPECT_EQ(rotated.popcount(), 1u);
-}
-
-TEST(Permutation, RotationComposes) {
-  util::Rng rng(3);
-  const auto hv = hdc::HyperVector::random(100, rng);
-  EXPECT_EQ(hdc::rotate(hdc::rotate(hv, 30), 50), hdc::rotate(hv, 80));
-}
-
-TEST(Permutation, RotatedVectorIsPseudoOrthogonal) {
-  util::Rng rng(4);
-  const auto hv = hdc::HyperVector::random(10000, rng);
-  const auto rotated = hdc::rho(hv, 1);
-  EXPECT_NEAR(hdc::normalized_hamming(hv, rotated), 0.5, 0.03);
-}
-
-TEST(Permutation, RhoDefaultsToSingleStep) {
-  util::Rng rng(5);
-  const auto hv = hdc::HyperVector::random(64, rng);
-  EXPECT_EQ(hdc::rho(hv), hdc::rotate(hv, 1));
-}
 
 // --- Histogram equalization. ---
 

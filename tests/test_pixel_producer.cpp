@@ -1,10 +1,12 @@
-// Tests for the pixel HV producer (paper Section III-③, Fig. 5): XOR
-// binding adds distances on disjoint flip sites, partially cancels on
-// coinciding ones, and the bound HVs satisfy Lemma 1.
+// Tests for the pixel HV producer (paper Section III-③, Fig. 5): a pixel
+// HV is position HV XOR color HV. XOR binding adds distances on disjoint
+// flip sites, partially cancels on coinciding ones, and the bound HVs
+// satisfy Lemma 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/color_encoder.hpp"
-#include "src/core/pixel_producer.hpp"
 #include "src/core/position_encoder.hpp"
 #include "src/hdc/distances.hpp"
 
@@ -13,72 +15,44 @@ namespace {
 using namespace seghdc;
 using namespace seghdc::core;
 
-TEST(PixelProducer, BindIsXor) {
-  util::Rng rng(1);
-  const auto position = hdc::HyperVector::random(256, rng);
-  const auto color = hdc::HyperVector::random(256, rng);
-  const PixelProducer producer;
-  EXPECT_EQ(producer.produce(position, color), position ^ color);
-}
-
-TEST(PixelProducer, DimensionMismatchThrows) {
-  const hdc::HyperVector position(8);
-  const hdc::HyperVector color(9);
-  const PixelProducer producer;
-  EXPECT_THROW(producer.produce(position, color), std::invalid_argument);
-}
-
-TEST(PixelProducer, CountsBindWork) {
-  util::Rng rng(2);
-  const auto a = hdc::HyperVector::random(512, rng);
-  const auto b = hdc::HyperVector::random(512, rng);
-  const PixelProducer producer;
-  (void)producer.produce(a, b);
-  (void)producer.produce(a, b);
-  EXPECT_EQ(producer.ops().bind_xor_bits, 1024u);
-}
-
-TEST(PixelProducer, Fig5bColorFlipAloneMovesDistanceOne) {
+TEST(PixelBind, Fig5bColorFlipAloneMovesDistanceOne) {
   // Fig. 5(b): flip one color bit -> pixel HV moves Hamming distance 1.
   util::Rng rng(3);
   const auto position = hdc::HyperVector::random(128, rng);
   auto color = hdc::HyperVector::random(128, rng);
-  const PixelProducer producer;
-  const auto y1 = producer.produce(position, color);
+  const auto y1 = position ^ color;
   color.flip(17);
-  const auto y2 = producer.produce(position, color);
+  const auto y2 = position ^ color;
   EXPECT_EQ(hdc::hamming_distance(y1, y2), 1u);
 }
 
-TEST(PixelProducer, Fig5cDisjointFlipsAddDistances) {
+TEST(PixelBind, Fig5cDisjointFlipsAddDistances) {
   // Fig. 5(c): position flips bit A, color flips bit B != A -> the pixel
   // HV moves distance 2.
   util::Rng rng(4);
   auto position = hdc::HyperVector::random(128, rng);
   auto color = hdc::HyperVector::random(128, rng);
-  const PixelProducer producer;
-  const auto y1 = producer.produce(position, color);
+  const auto y1 = position ^ color;
   position.flip(5);
   color.flip(90);
-  const auto y3 = producer.produce(position, color);
+  const auto y3 = position ^ color;
   EXPECT_EQ(hdc::hamming_distance(y1, y3), 2u);
 }
 
-TEST(PixelProducer, Fig5dCoincidingFlipsCancel) {
+TEST(PixelBind, Fig5dCoincidingFlipsCancel) {
   // Fig. 5(d): position and color flip the SAME site -> the flips cancel
   // and the pixel HV does not move at that site.
   util::Rng rng(5);
   auto position = hdc::HyperVector::random(128, rng);
   auto color = hdc::HyperVector::random(128, rng);
-  const PixelProducer producer;
-  const auto y1 = producer.produce(position, color);
+  const auto y1 = position ^ color;
   position.flip(42);
   color.flip(42);
-  const auto y4 = producer.produce(position, color);
+  const auto y4 = position ^ color;
   EXPECT_EQ(hdc::hamming_distance(y1, y4), 0u);
 }
 
-TEST(PixelProducer, RealEncodersDistancesAdd) {
+TEST(PixelBind, RealEncodersDistancesAdd) {
   // With the actual encoders, position flips live in the position
   // half-regions and color flips in the ladder prefix; moving one block
   // AND one color step moves the pixel HV by x_row + uc exactly when the
@@ -92,12 +66,9 @@ TEST(PixelProducer, RealEncodersDistancesAdd) {
       rng);
   const ColorEncoder colors(
       ColorEncoderConfig{.dim = 4096, .channels = 1}, rng);
-  const PixelProducer producer;
 
-  const auto y_base =
-      producer.produce(positions.encode(0, 0), colors.channel_hv(0, 0));
-  const auto y_moved =
-      producer.produce(positions.encode(1, 0), colors.channel_hv(0, 10));
+  const auto y_base = positions.encode(0, 0) ^ colors.channel_hv(0, 0);
+  const auto y_moved = positions.encode(1, 0) ^ colors.channel_hv(0, 10);
 
   const auto position_distance = hdc::hamming_distance(
       positions.encode(0, 0), positions.encode(1, 0));
@@ -113,24 +84,22 @@ TEST(PixelProducer, RealEncodersDistancesAdd) {
   EXPECT_GT(combined, 0u);
 }
 
-TEST(PixelProducer, Lemma1BoundHvPseudoOrthogonalToInputs) {
+TEST(PixelBind, Lemma1BoundHvPseudoOrthogonalToInputs) {
   // Lemma 1: the bound pixel HV is pseudo-orthogonal to both factors.
   util::Rng rng(7);
   const auto position = hdc::HyperVector::random(10000, rng);
   const auto color = hdc::HyperVector::random(10000, rng);
-  const PixelProducer producer;
-  const auto pixel = producer.produce(position, color);
+  const auto pixel = position ^ color;
   EXPECT_NEAR(hdc::normalized_hamming(pixel, position), 0.5, 0.03);
   EXPECT_NEAR(hdc::normalized_hamming(pixel, color), 0.5, 0.03);
 }
 
-TEST(PixelProducer, BindingPreservesRecovery) {
+TEST(PixelBind, BindingPreservesRecovery) {
   // XOR binding is invertible: pixel ^ position == color.
   util::Rng rng(8);
   const auto position = hdc::HyperVector::random(1000, rng);
   const auto color = hdc::HyperVector::random(1000, rng);
-  const PixelProducer producer;
-  const auto pixel = producer.produce(position, color);
+  const auto pixel = position ^ color;
   EXPECT_EQ(pixel ^ position, color);
   EXPECT_EQ(pixel ^ color, position);
 }

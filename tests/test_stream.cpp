@@ -136,6 +136,32 @@ TEST(Stream, FirstFrameIsExactlyTheColdPath) {
   EXPECT_EQ(warm.stats.tiles_reused, 0u);
 }
 
+TEST(Stream, WarmFrameWithOneDirtyBandEncodesLikeCold) {
+  // 3-row bands over 32 rows: the last band is short (rows 30-31). The
+  // second frame changes one pixel there only, so the warm encode scans
+  // and binds that band alone and merges it with ten cached bands. The
+  // encode alone decides unique_points (warm K-Means seeding does not
+  // touch it), so it must match a cold encode of the same frame.
+  auto config = stream_config();
+  config.tile_rows = 3;
+  const core::SegHdcSession session(config);
+  const auto first = scene_background(32, 32);
+  auto second = first;
+  second(5, 31) = 90;
+
+  core::SegHdcSession::Stream stream;
+  session.segment_stream(first, stream);
+  const auto warm = session.segment_stream(second, stream);
+  const auto cold = session.segment(second);
+
+  EXPECT_EQ(warm.stats.tiles_total, 11u);
+  EXPECT_EQ(warm.stats.tiles_reused, warm.stats.tiles_total - 1);
+  EXPECT_EQ(warm.stats.tiles_encoded, 1u);
+  EXPECT_EQ(warm.result.unique_points, cold.unique_points);
+  EXPECT_GT(warm.result.ops.bind_xor_bits, 0u);
+  EXPECT_LT(warm.result.ops.bind_xor_bits, cold.ops.bind_xor_bits);
+}
+
 TEST(Stream, IdenticalFramesReplayBitForBit) {
   auto config = stream_config();
   config.compute_margins = true;
