@@ -1,17 +1,21 @@
-// Large-K assignment sweep: pruned vs exhaustive K-Means at K in
-// {8, 32, 64, 128, 256} on clustered synthetic HVs.
+// K-Means assignment sweep: the candidate-pruned assignment at K in
+// {2, 8, 32, 64, 128, 256} on clustered synthetic HVs.
 //
-//   ./bench_assign [--points 3000] [--dim 2048] [--k-list 8,32,64,128,256]
+//   ./bench_assign [--points 3000] [--dim 2048]
+//                  [--k-list 2,8,32,64,128,256]
 //                  [--iterations 4] [--repeats 3] [--threads 1]
 //                  [--distance hamming|cosine] [--seed 7] [--csv]
 //                  [--backend scalar|harley-seal|avx2|neon|auto]
 //
-// Both modes run the identical clustering problem; the assignments are
-// compared element-wise and ANY divergence is a hard failure (exit 1) —
-// pruning is an exactness contract, and a speedup table over wrong
-// labels is worthless. Each row reports the measured pruned fraction
-// (candidates skipped / candidate pairs) from the clusterer's own
-// OpCounts, so the table shows WHY a row is fast, not just that it is.
+// Each row reports the assignment time (kmeans_assign spans), the
+// whole-run time, and the measured pruned fraction (candidates skipped
+// / candidate pairs) from the clusterer's own OpCounts, so the table
+// shows WHY a row is fast, not just that it is. Every row must conserve
+// the candidate pairs — distance_evals + candidates_pruned ==
+// points * K * iterations — or the run hard-fails (exit 1): a pair the
+// accounting dropped or double-counted would make the fraction a lie.
+// Label exactness is not re-checked here; test_kmeans_pruned holds the
+// labels to a plain argmin oracle.
 //
 // The dataset is K anchor HVs of varied density (popcounts spread
 // between ~25% and ~75% of dim) with ~2% of bits flipped per point —
@@ -79,12 +83,8 @@ std::vector<hdc::HyperVector> make_clustered_points(std::size_t count,
 
 struct SweepRow {
   std::size_t k = 0;
-  double exhaustive_seconds = 0.0;       ///< whole-run wall time
-  double pruned_seconds = 0.0;
-  double exhaustive_assign_seconds = 0.0;  ///< kmeans_assign span total
-  double pruned_assign_seconds = 0.0;
-  double assign_speedup = 0.0;
-  double total_speedup = 0.0;
+  double seconds = 0.0;         ///< whole-run wall time, best of N
+  double assign_seconds = 0.0;  ///< kmeans_assign span total, best of N
   double pruned_fraction = 0.0;
 };
 
@@ -128,7 +128,7 @@ int main(int argc, char** argv) try {
     return 1;
   }
   const auto k_list = util::Cli::parse_size_list(
-      cli.get("k-list", "8,32,64,128,256"), /*allow_zero=*/false);
+      cli.get("k-list", "2,8,32,64,128,256"), /*allow_zero=*/false);
   if (k_list.empty()) {
     std::fprintf(stderr, "--k-list must name at least one cluster count\n");
     return 1;
@@ -148,15 +148,14 @@ int main(int argc, char** argv) try {
               hdc::simd::cpu_feature_string().c_str());
 
   util::ThreadPool pool(threads);
-  obs::LatencyRecorder pruned_latency(k_list.size() * repeats);
+  obs::LatencyRecorder latency(k_list.size() * repeats);
 
   std::vector<SweepRow> rows;
   if (csv) {
-    std::printf("k,exhaustive_assign_seconds,pruned_assign_seconds,"
-                "assign_speedup,total_speedup,pruned_fraction\n");
+    std::printf("k,assign_seconds,total_seconds,pruned_fraction\n");
   } else {
-    std::printf("%6s %12s %12s %9s %9s %10s\n", "k", "exh-assign",
-                "prn-assign", "assign", "total", "pruned%");
+    std::printf("%6s %12s %12s %10s\n", "k", "assign-s", "total-s",
+                "pruned%");
   }
   for (const std::size_t k : k_list) {
     if (points_count < k) {
@@ -169,81 +168,58 @@ int main(int argc, char** argv) try {
     for (std::size_t c = 0; c < k; ++c) {
       seeds[c] = c;
     }
-    core::HvKMeansConfig config{.clusters = k,
-                                .iterations = iterations,
-                                .distance = distance,
-                                .assign_mode = core::AssignMode::kExhaustive};
+    core::HvKMeansConfig config{
+        .clusters = k, .iterations = iterations, .distance = distance};
     config.pool = &pool;
+    const core::HvKMeans kmeans(config);
 
-    // Best-of-N timing per mode; the last run's result is kept for the
-    // divergence check and the ops-based pruned fraction. A fresh
+    // Best-of-N timing; the last run's result is kept for the
+    // conservation gate and the ops-based pruned fraction. A fresh
     // TraceSession per repeat isolates that run's kmeans_assign spans
     // (a handful of events — the tracing cost is noise).
-    const auto time_mode = [&](core::AssignMode mode, double* best_seconds,
-                               double* best_assign_seconds) {
-      config.assign_mode = mode;
-      const core::HvKMeans kmeans(config);
-      core::HvKMeansResult result;
-      for (std::size_t r = 0; r < repeats; ++r) {
-        const obs::TraceSession trace;
-        const util::Stopwatch watch;
-        result = kmeans.run(points, {}, seeds);
-        const double seconds = watch.seconds();
-        const double assign_seconds = assign_seconds_of(trace.events());
-        *best_seconds =
-            r == 0 ? seconds : std::min(*best_seconds, seconds);
-        *best_assign_seconds =
-            r == 0 ? assign_seconds
-                   : std::min(*best_assign_seconds, assign_seconds);
-        if (mode == core::AssignMode::kPruned) {
-          pruned_latency.record(seconds);
-        }
-      }
-      return result;
-    };
-
     SweepRow row;
     row.k = k;
-    const auto exhaustive =
-        time_mode(core::AssignMode::kExhaustive, &row.exhaustive_seconds,
-                  &row.exhaustive_assign_seconds);
-    const auto pruned =
-        time_mode(core::AssignMode::kPruned, &row.pruned_seconds,
-                  &row.pruned_assign_seconds);
+    core::HvKMeansResult result;
+    for (std::size_t r = 0; r < repeats; ++r) {
+      const obs::TraceSession trace;
+      const util::Stopwatch watch;
+      result = kmeans.run(points, {}, seeds);
+      const double seconds = watch.seconds();
+      const double assign_seconds = assign_seconds_of(trace.events());
+      row.seconds = r == 0 ? seconds : std::min(row.seconds, seconds);
+      row.assign_seconds = r == 0 ? assign_seconds
+                                  : std::min(row.assign_seconds,
+                                             assign_seconds);
+      latency.record(seconds);
+    }
 
-    if (exhaustive.assignment != pruned.assignment) {
+    const std::uint64_t candidate_pairs =
+        result.ops.distance_evals + result.ops.candidates_pruned;
+    const std::uint64_t expected_pairs =
+        static_cast<std::uint64_t>(points_count) * k * iterations;
+    if (candidate_pairs != expected_pairs) {
       std::fprintf(stderr,
-                   "FAIL: pruned labels diverge from exhaustive at k=%zu\n",
-                   k);
+                   "FAIL: k=%zu evaluated + pruned = %llu candidate pairs, "
+                   "expected points * k * iterations = %llu\n",
+                   k, static_cast<unsigned long long>(candidate_pairs),
+                   static_cast<unsigned long long>(expected_pairs));
       return 1;
     }
-    const auto candidate_pairs =
-        pruned.ops.distance_evals + pruned.ops.candidates_pruned;
-    row.assign_speedup =
-        row.exhaustive_assign_seconds / row.pruned_assign_seconds;
-    row.total_speedup = row.exhaustive_seconds / row.pruned_seconds;
-    row.pruned_fraction =
-        candidate_pairs == 0
-            ? 0.0
-            : static_cast<double>(pruned.ops.candidates_pruned) /
-                  static_cast<double>(candidate_pairs);
+    row.pruned_fraction = static_cast<double>(result.ops.candidates_pruned) /
+                          static_cast<double>(candidate_pairs);
     rows.push_back(row);
     if (csv) {
-      std::printf("%zu,%.4f,%.4f,%.2f,%.2f,%.4f\n", row.k,
-                  row.exhaustive_assign_seconds, row.pruned_assign_seconds,
-                  row.assign_speedup, row.total_speedup,
-                  row.pruned_fraction);
+      std::printf("%zu,%.6f,%.6f,%.4f\n", row.k, row.assign_seconds,
+                  row.seconds, row.pruned_fraction);
     } else {
-      std::printf("%6zu %12.4f %12.4f %8.2fx %8.2fx %9.1f%%\n", row.k,
-                  row.exhaustive_assign_seconds, row.pruned_assign_seconds,
-                  row.assign_speedup, row.total_speedup,
-                  row.pruned_fraction * 100.0);
+      std::printf("%6zu %12.4f %12.4f %9.1f%%\n", row.k, row.assign_seconds,
+                  row.seconds, row.pruned_fraction * 100.0);
     }
   }
-  std::printf("pruned assignments identical to exhaustive at every k\n");
+  std::printf("evaluated + pruned == points * k * iterations at every k\n");
 
-  // Headline: the K=128 row when swept (the acceptance gate), else the
-  // largest K. "Throughput" is pruned clustering runs per second there.
+  // Headline: the K=128 row when swept, else the largest K.
+  // "Throughput" is clustering runs per second there.
   const SweepRow* headline = &rows.back();
   for (const auto& row : rows) {
     if (row.k == 128) {
@@ -252,37 +228,30 @@ int main(int argc, char** argv) try {
   }
   std::string sweep_json = "[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    char entry[256];
-    std::snprintf(
-        entry, sizeof entry,
-        "%s{\"k\": %zu, \"exhaustive_assign_seconds\": %.6f, "
-        "\"pruned_assign_seconds\": %.6f, \"assign_speedup\": %.4f, "
-        "\"total_speedup\": %.4f, \"pruned_fraction\": %.6f}",
-        i == 0 ? "" : ", ", rows[i].k, rows[i].exhaustive_assign_seconds,
-        rows[i].pruned_assign_seconds, rows[i].assign_speedup,
-        rows[i].total_speedup, rows[i].pruned_fraction);
+    char entry[160];
+    std::snprintf(entry, sizeof entry,
+                  "%s{\"k\": %zu, \"assign_seconds\": %.6f, "
+                  "\"total_seconds\": %.6f, \"pruned_fraction\": %.6f}",
+                  i == 0 ? "" : ", ", rows[i].k, rows[i].assign_seconds,
+                  rows[i].seconds, rows[i].pruned_fraction);
     sweep_json += entry;
   }
   sweep_json += "]";
-  char headline_speedup[32];
-  std::snprintf(headline_speedup, sizeof headline_speedup, "%.4f",
-                headline->assign_speedup);
-  char headline_total[32];
-  std::snprintf(headline_total, sizeof headline_total, "%.4f",
-                headline->total_speedup);
+  char headline_assign[32];
+  std::snprintf(headline_assign, sizeof headline_assign, "%.6f",
+                headline->assign_seconds);
   char headline_fraction[32];
   std::snprintf(headline_fraction, sizeof headline_fraction, "%.6f",
                 headline->pruned_fraction);
   bench::write_bench_json(
-      "BENCH_assign.json", "bench_assign",
-      1.0 / headline->pruned_seconds, pruned_latency.snapshot(),
+      "BENCH_assign.json", "bench_assign", 1.0 / headline->seconds,
+      latency.snapshot(),
       {{"distance", "\"" + distance_flag + "\""},
        {"points", std::to_string(points_count)},
        {"dim", std::to_string(dim)},
        {"iterations", std::to_string(iterations)},
        {"headline_k", std::to_string(headline->k)},
-       {"assign_speedup", headline_speedup},
-       {"total_speedup", headline_total},
+       {"assign_seconds", headline_assign},
        {"pruned_fraction", headline_fraction},
        {"sweep", sweep_json}});
   return 0;

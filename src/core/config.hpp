@@ -72,23 +72,6 @@ enum class ClusterDistance {
   kHamming,
 };
 
-/// K-Means assignment strategy. Both modes produce bit-identical
-/// assignments (pruning is EXACT — norm bounds and early-exit kernels
-/// only skip centroids that provably cannot win, with ties still broken
-/// by the lowest index); the choice is purely a performance knob.
-enum class AssignMode {
-  /// Prune when clusters >= the clusterer's prune_min_clusters
-  /// threshold, else exhaustive. Defers to the SEGHDC_ASSIGN_MODE
-  /// environment variable when it is set ("auto", "exhaustive",
-  /// "pruned"; anything else is a hard error).
-  kAuto,
-  /// Always scan every centroid with full-length kernels.
-  kExhaustive,
-  /// Always run norm-bound candidate pruning + early-exit bounded
-  /// kernels, regardless of cluster count.
-  kPruned,
-};
-
 /// Full SegHDC pipeline configuration.
 ///
 /// A config (plus the image) fully determines the segmentation output:
@@ -123,11 +106,6 @@ struct SegHdcConfig {
   FlipUnitBasis flip_unit_basis = FlipUnitBasis::kRows;
   /// Clustering distance (paper: cosine, Eq. 7).
   ClusterDistance cluster_distance = ClusterDistance::kCosine;
-  /// K-Means assignment strategy (see AssignMode). kAuto (the default)
-  /// prunes at large cluster counts and defers to SEGHDC_ASSIGN_MODE
-  /// when set; both modes are bit-identical, so this is a performance
-  /// knob, never a semantics knob.
-  AssignMode assign_mode = AssignMode::kAuto;
   /// Deduplicate pixels sharing (position block, color) before
   /// clustering. Exactly equivalent to per-pixel clustering (weighted
   /// centroids), orders of magnitude faster. Disable only to measure the

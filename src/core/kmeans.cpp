@@ -1,13 +1,9 @@
 #include "src/core/kmeans.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 #include <utility>
 
 #include "src/obs/trace.hpp"
@@ -21,27 +17,6 @@ HvKMeans::HvKMeans(const HvKMeansConfig& config) : config_(config) {
                 "HvKMeans supports 2..4096 clusters");
   util::expects(config_.iterations >= 1,
                 "HvKMeans needs at least one iteration");
-  // Assignment-mode resolution order mirrors the other knobs (config >
-  // environment > auto), with malformed overrides a hard error — a
-  // forced CI assignment mode that silently fell back would make the
-  // pruned-vs-exhaustive matrix meaningless.
-  resolved_assign_mode_ = config_.assign_mode;
-  if (resolved_assign_mode_ == AssignMode::kAuto) {
-    const char* env = std::getenv("SEGHDC_ASSIGN_MODE");
-    if (env != nullptr && *env != '\0') {
-      const std::string_view value(env);
-      if (value == "exhaustive") {
-        resolved_assign_mode_ = AssignMode::kExhaustive;
-      } else if (value == "pruned") {
-        resolved_assign_mode_ = AssignMode::kPruned;
-      } else if (value != "auto") {
-        throw std::invalid_argument(
-            std::string("SEGHDC_ASSIGN_MODE must be one of "
-                        "auto|exhaustive|pruned, got '") +
-            env + "'");
-      }
-    }
-  }
 }
 
 HvKMeansResult HvKMeans::run(std::span<const hdc::HyperVector> points,
@@ -126,8 +101,7 @@ HvKMeansResult HvKMeans::run_impl(
   init_centroids(result.centroids);
 
   // Cached per-point popcounts and norms: the raw popcount is the
-  // Hamming norm bound of the pruned assignment, its sqrt the cosine
-  // point norm.
+  // Hamming norm bound of the assignment, its sqrt the cosine point norm.
   std::vector<std::uint32_t> point_pop(n);
   std::vector<double> point_norm(n);
   pool.parallel_for(
@@ -139,33 +113,32 @@ HvKMeansResult HvKMeans::run_impl(
       },
       /*grain=*/256);
   result.ops.popcount_bits += static_cast<std::uint64_t>(n) * dim;
-  std::size_t zero_pop_points = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    zero_pop_points += point_pop[i] == 0 ? 1 : 0;
-  }
 
-  const bool pruned_assign =
-      resolved_assign_mode_ == AssignMode::kPruned ||
-      (resolved_assign_mode_ == AssignMode::kAuto &&
-       k >= config_.prune_min_clusters);
-  result.pruned_assignment = pruned_assign;
   // One backend resolve for the whole run; every distance scan below
   // goes through this vtable reference instead of re-dispatching per
   // (point, centroid) pair.
   const hdc::simd::KernelBackend& backend = hdc::simd::active_backend();
-  const std::size_t wph = points.words_per_hv();
-  // Pruned-mode per-iteration candidate tables (storage reused across
-  // iterations): centroid indices sorted by popcount for Hamming,
-  // per-centroid dot upper bounds for cosine.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_pops;
-  std::vector<std::int64_t> centroid_count_sum;
-  if (pruned_assign) {
-    if (config_.distance == ClusterDistance::kHamming) {
-      sorted_pops.resize(k);
-    } else {
-      centroid_count_sum.resize(k);
-    }
-  }
+  // Per-iteration candidate tables (storage reused across iterations):
+  // centroid indices sorted by popcount for Hamming, per-centroid dot
+  // upper bounds for cosine.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_pops(
+      config_.distance == ClusterDistance::kHamming ? k : 0);
+  std::vector<std::int64_t> centroid_count_sum(
+      config_.distance == ClusterDistance::kCosine ? k : 0);
+  // Assignment work, counted per 64-point block: each block keeps its
+  // counters local and writes its own slot once, and the slots are
+  // summed in block order — no shared mutable state inside the scan, and
+  // integer sums make the totals identical at every pool size.
+  struct AssignCounts {
+    std::uint64_t moved = 0;
+    std::uint64_t evals = 0;
+    std::uint64_t kernel_evals = 0;
+    std::uint64_t pruned = 0;
+    std::uint64_t words = 0;
+  };
+  constexpr std::size_t kAssignBlock = 64;
+  std::vector<AssignCounts> block_counts((n + kAssignBlock - 1) /
+                                         kAssignBlock);
 
   // Update-step partials: one bank of k accumulators per chunk, so the
   // per-cluster accumulation runs without any shared mutable state and
@@ -237,89 +210,40 @@ HvKMeansResult HvKMeans::run_impl(
     for (std::size_t c = 0; c < k; ++c) {
       centroid_norm[c] = result.centroids[c].norm();
     }
-    // --- Assignment step (data parallel over block rows; fused
-    // word-span kernels, no per-point HyperVector temporaries). The
-    // distance-mode and assign-mode branches are hoisted out of the
-    // inner loops: each iteration selects one of four loop bodies
-    // (exhaustive/pruned x Hamming/cosine) up front. All four produce
-    // bit-identical assignments — the pruned bodies only skip
-    // candidates they can PROVE lose the argmin, index tie-break
-    // included. ---
-    std::atomic<std::uint64_t> changed{0};
+    // --- Assignment step (data parallel over 64-point blocks; fused
+    // word-span kernels on the block rows, no per-point HyperVector
+    // temporaries). The distance branch is hoisted out of the inner
+    // loops: each iteration selects one of two loop bodies up front. Both
+    // only skip candidates they can PROVE lose the argmin, index
+    // tie-break included, so every label is the lowest-index argmin of
+    // the full distance row. ---
+    AssignCounts assigned;
     {
-      // Measured assignment work, accumulated per point and folded with
-      // relaxed atomic adds — integer sums commute, so the totals are
-      // identical at every pool size.
-      std::atomic<std::uint64_t> evals_total{0};
-      std::atomic<std::uint64_t> kernel_evals_total{0};
-      std::atomic<std::uint64_t> pruned_total{0};
-      std::atomic<std::uint64_t> words_total{0};
       // Both arg slots carry the work split; the iteration number is on
       // the parent kmeans_iter span.
       obs::SpanScope assign_span("kmeans_assign", "core");
-      const auto commit = [&](std::size_t i, std::uint32_t best_cluster,
-                              double best) {
-        if (result.assignment[i] != best_cluster) {
-          changed.fetch_add(1, std::memory_order_relaxed);
-          result.assignment[i] = best_cluster;
-        }
-        distance_to_own[i] = best;
+      // Runs `nearest(i, counts)` -> (cluster, distance) over every point
+      // and records the labels, the distances to the own centroid and the
+      // per-block counters.
+      const auto assign_all = [&](const auto& nearest) {
+        pool.parallel_for(
+            0, block_counts.size(),
+            [&](std::size_t block) {
+              AssignCounts counts;
+              const std::size_t end = std::min(n, (block + 1) * kAssignBlock);
+              for (std::size_t i = block * kAssignBlock; i < end; ++i) {
+                const auto [cluster, distance] = nearest(i, counts);
+                if (result.assignment[i] != cluster) {
+                  ++counts.moved;
+                  result.assignment[i] = cluster;
+                }
+                distance_to_own[i] = distance;
+              }
+              block_counts[block] = counts;
+            },
+            /*grain=*/1);
       };
-      if (!pruned_assign && config_.distance == ClusterDistance::kHamming) {
-        pool.parallel_for(
-            0, n,
-            [&](std::size_t i) {
-              const auto point = points.row(i);
-              std::size_t best = std::numeric_limits<std::size_t>::max();
-              std::uint32_t best_cluster = 0;
-              for (std::size_t c = 0; c < k; ++c) {
-                const std::size_t dist =
-                    backend.hamming(binary_centroid_rows[c], point);
-                if (dist < best) {
-                  best = dist;
-                  best_cluster = static_cast<std::uint32_t>(c);
-                }
-              }
-              commit(i, best_cluster, static_cast<double>(best));
-            },
-            /*grain=*/64);
-        result.ops.words_scanned += static_cast<std::uint64_t>(n) * k * wph;
-      } else if (!pruned_assign) {
-        pool.parallel_for(
-            0, n,
-            [&](std::size_t i) {
-              const auto point = points.row(i);
-              const double pn = point_norm[i];
-              double best = std::numeric_limits<double>::infinity();
-              std::uint32_t best_cluster = 0;
-              for (std::size_t c = 0; c < k; ++c) {
-                const double cn = centroid_norm[c];
-                // Same shortcut and float expression as
-                // cosine_distance_planes, with the backend hoisted.
-                const double dist =
-                    cn == 0.0 || pn == 0.0
-                        ? 1.0
-                        : hdc::kernels::cosine_distance_from_dot(
-                              hdc::kernels::dot_planes(centroid_planes[c],
-                                                       point, backend),
-                              cn, pn);
-                if (dist < best) {
-                  best = dist;
-                  best_cluster = static_cast<std::uint32_t>(c);
-                }
-              }
-              commit(i, best_cluster, best);
-            },
-            /*grain=*/64);
-        std::uint64_t words_per_point = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-          if (centroid_norm[c] != 0.0) {
-            words_per_point += centroid_planes[c].plane_count() * wph;
-          }
-        }
-        result.ops.words_scanned +=
-            static_cast<std::uint64_t>(n - zero_pop_points) * words_per_point;
-      } else if (config_.distance == ClusterDistance::kHamming) {
+      if (config_.distance == ClusterDistance::kHamming) {
         // Candidate table: centroid indices sorted by (popcount, index).
         // |popcount(x) - popcount(c)| <= hamming(x, c), so scanning
         // outward from the point's own popcount visits candidates in
@@ -332,231 +256,197 @@ HvKMeansResult HvKMeans::run_impl(
                             static_cast<std::uint32_t>(c)};
         }
         std::sort(sorted_pops.begin(), sorted_pops.end());
-        pool.parallel_for(
-            0, n,
-            [&](std::size_t i) {
-              const auto point = points.row(i);
-              const std::size_t px = point_pop[i];
-              constexpr std::size_t kUnset =
-                  std::numeric_limits<std::size_t>::max();
-              std::size_t best = kUnset;
-              std::uint32_t best_cluster = 0;
-              std::uint64_t evals = 0;
-              std::uint64_t pruned = 0;
-              std::uint64_t words = 0;
-              const auto gap_of = [&](std::size_t pc) {
-                return pc > px ? pc - px : px - pc;
-              };
-              // Two-pointer outward scan from the insertion point of px
-              // in the sorted table: [0, l) pending on the left, [r, k)
-              // on the right.
-              std::size_t r = static_cast<std::size_t>(
-                  std::lower_bound(
-                      sorted_pops.begin(), sorted_pops.end(),
-                      std::pair<std::uint32_t, std::uint32_t>{
-                          static_cast<std::uint32_t>(px), 0}) -
-                  sorted_pops.begin());
-              std::size_t l = r;
-              while (l > 0 || r < k) {
-                const std::size_t gl =
-                    l > 0 ? gap_of(sorted_pops[l - 1].first) : kUnset;
-                const std::size_t gr =
-                    r < k ? gap_of(sorted_pops[r].first) : kUnset;
-                const bool take_left = gl <= gr;
-                const std::size_t gap = take_left ? gl : gr;
-                const std::uint32_t c = take_left ? sorted_pops[l - 1].second
-                                                  : sorted_pops[r].second;
-                if (best != kUnset) {
-                  if (gap > best) {
-                    // Everything further out on this side is strictly
-                    // worse than best: drop the side wholesale.
-                    pruned += take_left ? l : k - r;
-                    if (take_left) {
-                      l = 0;
-                    } else {
-                      r = k;
-                    }
-                    continue;
-                  }
-                  if (gap == best && c >= best_cluster) {
-                    // Distance >= gap == best, and a tie at best can
-                    // only matter for a lower index: cannot win. The
-                    // side stays open — a lower index may still follow
-                    // at the same gap.
-                    ++pruned;
-                    if (take_left) {
-                      --l;
-                    } else {
-                      ++r;
-                    }
-                    continue;
-                  }
-                }
-                // bound = best rejects dist >= best (a win needs strict
-                // <); +1 when c < best_cluster, which can still win an
-                // index tie at exactly best.
-                const std::size_t bound =
-                    best == kUnset ? kUnset
-                                   : (c < best_cluster ? best + 1 : best);
-                const auto scan = backend.hamming_bounded(
-                    binary_centroid_rows[c], point, bound);
-                words += scan.words_scanned;
-                if (scan.value < bound) {
-                  // One-sided contract: value < bound means the scan
-                  // completed and value is the exact distance.
-                  ++evals;
-                  if (best == kUnset || scan.value < best ||
-                      (scan.value == best && c < best_cluster)) {
-                    best = scan.value;
-                    best_cluster = c;
-                  }
+        assign_all([&](std::size_t i, AssignCounts& counts) {
+          const auto point = points.row(i);
+          const std::size_t px = point_pop[i];
+          constexpr std::size_t kUnset =
+              std::numeric_limits<std::size_t>::max();
+          std::size_t best = kUnset;
+          std::uint32_t best_cluster = 0;
+          const auto gap_of = [&](std::size_t pc) {
+            return pc > px ? pc - px : px - pc;
+          };
+          // Two-pointer outward scan from the insertion point of px in
+          // the sorted table: [0, l) pending on the left, [r, k) on the
+          // right.
+          std::size_t r = static_cast<std::size_t>(
+              std::lower_bound(sorted_pops.begin(), sorted_pops.end(),
+                               std::pair<std::uint32_t, std::uint32_t>{
+                                   static_cast<std::uint32_t>(px), 0}) -
+              sorted_pops.begin());
+          std::size_t l = r;
+          while (l > 0 || r < k) {
+            const std::size_t gl =
+                l > 0 ? gap_of(sorted_pops[l - 1].first) : kUnset;
+            const std::size_t gr =
+                r < k ? gap_of(sorted_pops[r].first) : kUnset;
+            const bool take_left = gl <= gr;
+            const std::size_t gap = take_left ? gl : gr;
+            const std::uint32_t c =
+                take_left ? sorted_pops[l - 1].second : sorted_pops[r].second;
+            if (best != kUnset) {
+              if (gap > best) {
+                // Everything further out on this side is strictly worse
+                // than best: drop the side wholesale.
+                counts.pruned += take_left ? l : k - r;
+                if (take_left) {
+                  l = 0;
                 } else {
-                  ++pruned;
+                  r = k;
                 }
+                continue;
+              }
+              if (gap == best && c >= best_cluster) {
+                // Distance >= gap == best, and a tie at best can only
+                // matter for a lower index: cannot win. The side stays
+                // open — a lower index may still follow at the same gap.
+                ++counts.pruned;
                 if (take_left) {
                   --l;
                 } else {
                   ++r;
                 }
+                continue;
               }
-              evals_total.fetch_add(evals, std::memory_order_relaxed);
-              kernel_evals_total.fetch_add(evals, std::memory_order_relaxed);
-              pruned_total.fetch_add(pruned, std::memory_order_relaxed);
-              words_total.fetch_add(words, std::memory_order_relaxed);
-              commit(i, best_cluster, static_cast<double>(best));
-            },
-            /*grain=*/64);
+            }
+            // bound = best rejects dist >= best (a win needs strict <);
+            // +1 when c < best_cluster, which can still win an index tie
+            // at exactly best.
+            const std::size_t bound =
+                best == kUnset ? kUnset : (c < best_cluster ? best + 1 : best);
+            const auto scan =
+                backend.hamming_bounded(binary_centroid_rows[c], point, bound);
+            counts.words += scan.words_scanned;
+            if (scan.value < bound) {
+              // One-sided contract: value < bound means the scan
+              // completed and value is the exact distance.
+              ++counts.evals;
+              ++counts.kernel_evals;
+              if (best == kUnset || scan.value < best ||
+                  (scan.value == best && c < best_cluster)) {
+                best = scan.value;
+                best_cluster = c;
+              }
+            } else {
+              ++counts.pruned;
+            }
+            if (take_left) {
+              --l;
+            } else {
+              ++r;
+            }
+          }
+          return std::pair{best_cluster, static_cast<double>(best)};
+        });
       } else {
         // Per-centroid dot upper bounds for the cheap skip: dot(x, c)
         // <= min(sum of c's counts, (2^planes_c - 1) * popcount(x)).
         for (std::size_t c = 0; c < k; ++c) {
           std::int64_t sum = 0;
-          for (std::size_t b = 0; b < centroid_planes[c].plane_count();
-               ++b) {
+          for (std::size_t b = 0; b < centroid_planes[c].plane_count(); ++b) {
             sum += static_cast<std::int64_t>(
                        backend.popcount(centroid_planes[c].plane(b)))
                    << b;
           }
           centroid_count_sum[c] = sum;
         }
-        pool.parallel_for(
-            0, n,
-            [&](std::size_t i) {
-              const auto point = points.row(i);
-              const double pn = point_norm[i];
-              const auto px = static_cast<std::int64_t>(point_pop[i]);
-              double best = std::numeric_limits<double>::infinity();
-              std::uint32_t best_cluster = 0;
-              std::uint64_t evals = 0;
-              std::uint64_t kernel_evals = 0;
-              std::uint64_t pruned = 0;
-              std::uint64_t words = 0;
-              // Index order, strict < updates: identical tie semantics
-              // to the exhaustive loop by construction — every skip
-              // below only drops candidates whose distance provably
-              // fails `dist < best`.
-              for (std::size_t c = 0; c < k; ++c) {
-                const double cn = centroid_norm[c];
-                if (cn == 0.0 || pn == 0.0) {
-                  // Zero-norm shortcut, exactly cosine_distance_planes'.
-                  ++evals;
-                  if (1.0 < best) {
-                    best = 1.0;
-                    best_cluster = static_cast<std::uint32_t>(c);
-                  }
-                  continue;
-                }
-                const bool have_best =
-                    best < std::numeric_limits<double>::infinity();
-                if (have_best) {
-                  // Cheap exact skip: evaluate the shared float
-                  // expression at a dot that can only be larger than
-                  // the true one — the expression is weakly antitone in
-                  // the dot, so distance(upper) >= best implies
-                  // distance(dot) >= best.
-                  std::int64_t upper = centroid_count_sum[c];
-                  const std::size_t planes_c =
-                      centroid_planes[c].plane_count();
-                  if (planes_c < 40) {
-                    upper = std::min(
-                        upper, ((std::int64_t{1} << planes_c) - 1) * px);
-                  }
-                  if (hdc::kernels::cosine_distance_from_dot(upper, cn,
-                                                             pn) >= best) {
-                    ++pruned;
-                    continue;
-                  }
-                }
-                // In-kernel prune threshold: the largest integer dot
-                // that still cannot beat best under the shared float
-                // expression. Start at the real-arithmetic crossover
-                // and nudge down until the expression itself concedes;
-                // bail out (scan uncapped, still exact) if rounding
-                // pathologies drag the search out.
-                std::int64_t max_useful = -1;
-                if (have_best) {
-                  const double crossover = (1.0 - best) * (pn * cn);
-                  if (crossover >= 0.0 && crossover < 9.0e18) {
-                    auto m = static_cast<std::int64_t>(crossover);
-                    int steps = 0;
-                    while (m >= 0 && hdc::kernels::cosine_distance_from_dot(
-                                         m, cn, pn) < best) {
-                      --m;
-                      if (++steps > 64) {
-                        m = -1;
-                        break;
-                      }
-                    }
-                    max_useful = m;
-                  }
-                }
-                const auto scan = hdc::kernels::dot_planes_bounded(
-                    centroid_planes[c], point,
-                    static_cast<std::size_t>(px), max_useful, backend);
-                words += scan.words_scanned;
-                if (scan.pruned) {
-                  // True dot <= max_useful, so its distance >= best:
-                  // the exhaustive loop would not have updated either.
-                  ++pruned;
-                  continue;
-                }
-                ++evals;
-                ++kernel_evals;
-                const double dist = hdc::kernels::cosine_distance_from_dot(
-                    scan.dot, cn, pn);
-                if (dist < best) {
-                  best = dist;
-                  best_cluster = static_cast<std::uint32_t>(c);
-                }
+        assign_all([&](std::size_t i, AssignCounts& counts) {
+          const auto point = points.row(i);
+          const double pn = point_norm[i];
+          const auto px = static_cast<std::int64_t>(point_pop[i]);
+          double best = std::numeric_limits<double>::infinity();
+          std::uint32_t best_cluster = 0;
+          // Index order with strict < updates gives the lowest-index
+          // argmin; every skip below only drops candidates whose
+          // distance provably fails `dist < best`.
+          for (std::size_t c = 0; c < k; ++c) {
+            const double cn = centroid_norm[c];
+            if (cn == 0.0 || pn == 0.0) {
+              // Zero-norm shortcut, exactly cosine_distance_planes'.
+              ++counts.evals;
+              if (1.0 < best) {
+                best = 1.0;
+                best_cluster = static_cast<std::uint32_t>(c);
               }
-              evals_total.fetch_add(evals, std::memory_order_relaxed);
-              kernel_evals_total.fetch_add(kernel_evals,
-                                           std::memory_order_relaxed);
-              pruned_total.fetch_add(pruned, std::memory_order_relaxed);
-              words_total.fetch_add(words, std::memory_order_relaxed);
-              commit(i, best_cluster, best);
-            },
-            /*grain=*/64);
+              continue;
+            }
+            const bool have_best =
+                best < std::numeric_limits<double>::infinity();
+            if (have_best) {
+              // Cheap exact skip: evaluate the shared float expression at
+              // a dot that can only be larger than the true one — the
+              // expression is weakly antitone in the dot, so
+              // distance(upper) >= best implies distance(dot) >= best.
+              std::int64_t upper = centroid_count_sum[c];
+              const std::size_t planes_c = centroid_planes[c].plane_count();
+              if (planes_c < 40) {
+                upper =
+                    std::min(upper, ((std::int64_t{1} << planes_c) - 1) * px);
+              }
+              if (hdc::kernels::cosine_distance_from_dot(upper, cn, pn) >=
+                  best) {
+                ++counts.pruned;
+                continue;
+              }
+            }
+            // In-kernel prune threshold: the largest integer dot that
+            // still cannot beat best under the shared float expression.
+            // Start at the real-arithmetic crossover and nudge down until
+            // the expression itself concedes; bail out (scan uncapped,
+            // still exact) if rounding pathologies drag the search out.
+            std::int64_t max_useful = -1;
+            if (have_best) {
+              const double crossover = (1.0 - best) * (pn * cn);
+              if (crossover >= 0.0 && crossover < 9.0e18) {
+                auto m = static_cast<std::int64_t>(crossover);
+                int steps = 0;
+                while (m >= 0 &&
+                       hdc::kernels::cosine_distance_from_dot(m, cn, pn) <
+                           best) {
+                  --m;
+                  if (++steps > 64) {
+                    m = -1;
+                    break;
+                  }
+                }
+                max_useful = m;
+              }
+            }
+            const auto scan = hdc::kernels::dot_planes_bounded(
+                centroid_planes[c], point, static_cast<std::size_t>(px),
+                max_useful, backend);
+            counts.words += scan.words_scanned;
+            if (scan.pruned) {
+              // True dot <= max_useful, so its distance >= best: c
+              // cannot win.
+              ++counts.pruned;
+              continue;
+            }
+            ++counts.evals;
+            ++counts.kernel_evals;
+            const double dist =
+                hdc::kernels::cosine_distance_from_dot(scan.dot, cn, pn);
+            if (dist < best) {
+              best = dist;
+              best_cluster = static_cast<std::uint32_t>(c);
+            }
+          }
+          return std::pair{best_cluster, best};
+        });
       }
-      const std::uint64_t pairs = static_cast<std::uint64_t>(n) * k;
-      if (pruned_assign) {
-        const std::uint64_t evals = evals_total.load();
-        const std::uint64_t pruned = pruned_total.load();
-        result.ops.distance_evals += evals;
-        result.ops.candidates_pruned += pruned;
-        result.ops.dot_adds += kernel_evals_total.load() * dim;
-        result.ops.words_scanned += words_total.load();
-        assign_span.arg("evaluated", evals);
-        assign_span.arg("pruned", pruned);
-      } else {
-        // Exhaustive accounting keeps the classic assumed totals (and
-        // words_scanned measured above): every pair is an eval of dim
-        // dot adds.
-        result.ops.dot_adds += pairs * dim;
-        result.ops.distance_evals += pairs;
-        assign_span.arg("evaluated", pairs);
-        assign_span.arg("pruned", 0);
+      for (const AssignCounts& counts : block_counts) {
+        assigned.moved += counts.moved;
+        assigned.evals += counts.evals;
+        assigned.kernel_evals += counts.kernel_evals;
+        assigned.pruned += counts.pruned;
+        assigned.words += counts.words;
       }
+      result.ops.distance_evals += assigned.evals;
+      result.ops.candidates_pruned += assigned.pruned;
+      result.ops.dot_adds += assigned.kernel_evals * dim;
+      result.ops.words_scanned += assigned.words;
+      assign_span.arg("evaluated", assigned.evals);
+      assign_span.arg("pruned", assigned.pruned);
     }
 
     // --- Update step. Centroids persist across iterations as exact
@@ -570,7 +460,7 @@ HvKMeansResult HvKMeans::run_impl(
     // banks in chunk order. Integer adds commute exactly, so both paths
     // leave bit-identical centroids (and every label derived from them)
     // at any thread count. ---
-    const std::uint64_t moved = changed.load();
+    const std::uint64_t moved = assigned.moved;
     const bool rebuild = iter == 0 || 2 * moved >= n;
     result.moved_per_iteration.push_back(moved);
     iter_span.arg("moved", moved);
@@ -674,7 +564,7 @@ HvKMeansResult HvKMeans::run_impl(
     // Convergence: iteration 0 always "changes" every point relative to
     // the zero-initialised assignment, so only later iterations count;
     // a reseed also perturbs the state and voids the fixed point.
-    if (config_.stop_on_convergence && iter > 0 && changed.load() == 0 &&
+    if (config_.stop_on_convergence && iter > 0 && moved == 0 &&
         result.reseeds == reseeds_before) {
       result.converged = true;
       break;

@@ -10,24 +10,23 @@
 // This implementation adds engineering features with identical
 // semantics: (1) points carry integer multiplicities, so deduplicated
 // pixel sets cluster exactly like the full pixel set; (2) the assignment
-// step runs data-parallel, with the cosine dot reformulated word-blocked
-// (per-centroid bit-plane snapshots, kernels::CountPlanes) so it streams
-// fused AND+popcount passes through the dispatched SIMD backend instead
-// of walking set bits serially — the integer dot, and therefore every
-// label, is bit-identical to the serial formulation; (3) the update step
-// keeps the centroids alive across iterations and moves only the points
-// whose label changed (subtract from the old sum, add to the new one),
-// rebuilding from scratch — per-chunk partial centroids in parallel,
-// reduced in fixed order — only in iteration 0 and when at least half
-// the points moved. Integer sums are exact and order-independent, so
-// assignments and centroids are bit-identical to a rebuild every
-// iteration, at every thread count; (4) at large
-// cluster counts the assignment prunes candidates it can prove are not
-// the nearest (per-centroid norm bounds, plus early-exit bounded
-// kernels that abort a scan once the running distance loses to the
-// best so far) — EXACT pruning only, ties still broken by the lowest
-// index, so the pruned path is bit-identical to the exhaustive one and
-// rides the same golden hashes (see AssignMode).
+// step runs data-parallel over 64-point blocks, with the cosine dot
+// reformulated word-blocked (per-centroid bit-plane snapshots,
+// kernels::CountPlanes) so it streams fused AND+popcount passes through
+// the dispatched SIMD backend instead of walking set bits serially — the
+// integer dot, and therefore every label, is bit-identical to the serial
+// formulation; (3) the update step keeps the centroids alive across
+// iterations and moves only the points whose label changed (subtract
+// from the old sum, add to the new one), rebuilding from scratch —
+// per-chunk partial centroids in parallel, reduced in fixed order — only
+// in iteration 0 and when at least half the points moved. Integer sums
+// are exact and order-independent, so assignments and centroids are
+// bit-identical to a rebuild every iteration, at every thread count;
+// (4) the assignment skips candidates it can prove are not the nearest
+// (per-centroid norm bounds, plus early-exit bounded kernels that abort
+// a scan once the running distance loses to the best so far) — EXACT
+// pruning only, ties still broken by the lowest index, so every label is
+// the lowest-index argmin of the full distance row, at every K.
 #ifndef SEGHDC_CORE_KMEANS_HPP
 #define SEGHDC_CORE_KMEANS_HPP
 
@@ -49,20 +48,6 @@ struct HvKMeansConfig {
   std::size_t clusters = 2;
   std::size_t iterations = 10;
   ClusterDistance distance = ClusterDistance::kCosine;
-  /// Assignment strategy (see core::AssignMode). kAuto prunes when
-  /// clusters >= prune_min_clusters and defers to the
-  /// SEGHDC_ASSIGN_MODE environment variable when set (resolved once at
-  /// construction; unknown values are hard errors). Pruning is EXACT:
-  /// norm bounds and early-exit bounded kernels only skip centroids
-  /// that provably cannot win the argmin — including index tie-breaks —
-  /// so assignments, centroids, and convergence behaviour are
-  /// bit-identical in every mode, at every backend and pool size.
-  AssignMode assign_mode = AssignMode::kAuto;
-  /// kAuto threshold: prune when clusters >= this. At very small K the
-  /// per-point candidate ordering costs more than the scans it skips;
-  /// from roughly this K up the pruned scan wins and keeps widening
-  /// (see bench_assign).
-  std::size_t prune_min_clusters = 8;
   /// Stop as soon as an assignment step changes no point (the paper runs
   /// a fixed budget but observes saturation by iteration ~4; with this
   /// flag the clusterer banks that saving automatically). The result is
@@ -91,18 +76,12 @@ struct HvKMeansResult {
   bool converged = false;
   /// Number of empty-cluster reseeds performed.
   std::size_t reseeds = 0;
-  /// True when the run used the candidate-pruned assignment path
-  /// (resolved mode kPruned, or kAuto with clusters >=
-  /// prune_min_clusters). Purely informational — both paths produce
-  /// bit-identical results.
-  bool pruned_assignment = false;
   /// Work performed. Assignment accounting is measured, not assumed:
   /// `distance_evals` counts pairs whose exact distance was computed,
   /// `candidates_pruned` counts pairs skipped by norm bounds or aborted
   /// bounded-kernel scans (evals + pruned == points * clusters per
-  /// iteration in every mode), `dot_adds` adds `dim` per evaluated
-  /// distance whose dot/scan actually ran (so the exhaustive total is
-  /// the classic n*k*dim), and `words_scanned` counts the words the
+  /// iteration), `dot_adds` adds `dim` per evaluated distance whose
+  /// dot/scan actually ran, and `words_scanned` counts the words the
   /// assignment kernels actually streamed, partial scans included.
   /// `centroid_update_adds` is measured too: `dim` per row the update
   /// step added or subtracted — n rows for a rebuild, two per moved
@@ -157,10 +136,6 @@ class HvKMeans {
           init_centroids) const;
 
   HvKMeansConfig config_;
-  /// config_.assign_mode with the SEGHDC_ASSIGN_MODE environment
-  /// override folded in (kAuto only; resolved once in the constructor,
-  /// hard error on unknown values).
-  AssignMode resolved_assign_mode_ = AssignMode::kAuto;
 };
 
 /// Farthest-point sampling over scalar intensities: returns `clusters`

@@ -25,7 +25,7 @@ struct OpCounts {
   /// distance: norm-bound skips plus early-exited bounded-kernel scans.
   /// Every assignment pair is either a distance_eval or pruned, so
   /// distance_evals + candidates_pruned == points * clusters *
-  /// iterations for a clustering run. Zero under exhaustive assignment.
+  /// iterations for a clustering run.
   std::uint64_t candidates_pruned = 0;
   /// 64-bit words actually streamed by the assignment distance kernels
   /// (full scans and aborted partial scans alike; each cosine plane

@@ -726,7 +726,6 @@ SegmentationResult SegHdcSession::finalize_impl(
       .clusters = config_.clusters,
       .iterations = config_.iterations,
       .distance = config_.cluster_distance,
-      .assign_mode = config_.assign_mode,
       .stop_on_convergence = config_.stop_on_convergence ||
                              options.force_stop_on_convergence,
       .pool = pool_,

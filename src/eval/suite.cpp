@@ -138,7 +138,7 @@ const char* eval_path_name(EvalPath path) {
 namespace {
 
 /// True when two configs produce the same output content (performance
-/// knobs — assign_mode, tile_rows, kernel_backend, trace — excluded by
+/// knobs — tile_rows, kernel_backend, trace — excluded by
 /// the library's determinism guarantees).
 bool same_semantics(const core::SegHdcConfig& a,
                     const core::SegHdcConfig& b) {

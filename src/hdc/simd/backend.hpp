@@ -31,8 +31,8 @@
 // compiles for every architecture. Every slot must be populated —
 // including the bounded early-exit slots (hamming_bounded,
 // and_popcount_capped), whose one-sided exactness contract
-// (BoundedScan below) is what lets the candidate-pruned K-Means
-// assignment stay bit-identical to the exhaustive scan.
+// (BoundedScan below) is what keeps the candidate-pruned K-Means
+// assignment an exact lowest-index argmin.
 #ifndef SEGHDC_HDC_SIMD_BACKEND_HPP
 #define SEGHDC_HDC_SIMD_BACKEND_HPP
 

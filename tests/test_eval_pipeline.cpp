@@ -2,9 +2,9 @@
 //
 //   - Path identity: one_shot, batch and server execution produce
 //     bit-identical per-image label hashes, IoU and suite fingerprints
-//     at every pool size {1, 2, 4}, under both K-Means assignment
-//     modes, at wave sizes that force multiple batches — the invariant
-//     that makes serving-path accuracy numbers trustworthy.
+//     at every pool size {1, 2, 4}, at wave sizes that force multiple
+//     batches — the invariant that makes serving-path accuracy numbers
+//     trustworthy.
 //   - Golden pins: the eval fingerprint over the exact golden batch of
 //     test_session.cpp reproduces 13206585988845182882, and an extended
 //     5-card suite pins its own golden eval hash.
@@ -12,9 +12,9 @@
 //     identical while temporal streams are active on the same server,
 //     a capacity-1 queue (forced backpressure) changes nothing, and a
 //     config-mismatched server is a hard error.
-//   - Measured op accounting: in pruned assignment mode every record
-//     satisfies distance_evals + candidates_pruned ==
-//     unique_points * clusters * iterations_run (no blanket formulas).
+//   - Measured op accounting: every record satisfies distance_evals +
+//     candidates_pruned == unique_points * clusters * iterations_run
+//     (no blanket formulas).
 //
 // The base seed honours SEGHDC_TEST_SEED like test_session.cpp; the
 // golden-pin tests use the fixed seed 42 on purpose. The locally built
@@ -240,49 +240,40 @@ TEST(EvalPipeline, ExtendedSuitePinsItsOwnGoldenHash) {
 }
 
 // ---------------------------------------------------------------------
-// Path x pool x assign-mode identity.
+// Path x pool identity.
 // ---------------------------------------------------------------------
 
-TEST(EvalPipeline, PathsPoolsAndAssignModesAreBitIdentical) {
+TEST(EvalPipeline, PathsAndPoolsAreBitIdentical) {
   const auto dataset = extended_dataset();
-  auto config = base_config();
+  const auto config = base_config();
 
-  // Reference: sequential one-shot, pool of 1, exhaustive assignment.
+  // Reference: sequential one-shot, pool of 1.
   eval::SuiteResult reference;
   {
     util::ThreadPool pool(1);
     eval::EvalOptions options;
     options.path = eval::EvalPath::kOneShot;
     options.pool = &pool;
-    config.assign_mode = core::AssignMode::kExhaustive;
     reference =
         eval::evaluate_seghdc(dataset, dataset.size(), config, options);
   }
   ASSERT_EQ(reference.records.size(), dataset.size());
   ASSERT_NE(reference.labels_hash, 0u);
 
-  for (const auto assign_mode :
-       {core::AssignMode::kExhaustive, core::AssignMode::kPruned}) {
-    config.assign_mode = assign_mode;
-    for (const std::size_t pool_size : {1, 2, 4}) {
-      util::ThreadPool pool(pool_size);
-      for (const auto path :
-           {eval::EvalPath::kOneShot, eval::EvalPath::kBatch,
-            eval::EvalPath::kServer}) {
-        eval::EvalOptions options;
-        options.path = path;
-        options.pool = &pool;
-        options.batch_size = 2;  // 5 images -> 3 waves on batch/server
-        options.server_options.queue_capacity = test_queue_capacity();
-        const auto suite =
-            eval::evaluate_seghdc(dataset, dataset.size(), config, options);
-        expect_suites_identical(
-            suite, reference,
-            std::string(eval::eval_path_name(path)) + ", pool " +
-                std::to_string(pool_size) + ", " +
-                (assign_mode == core::AssignMode::kPruned ? "pruned"
-                                                          : "exhaustive"));
-      }
+  for (const std::size_t pool_size : {1, 2, 4}) {
+    util::ThreadPool pool(pool_size);
+    for (const auto path : {eval::EvalPath::kOneShot, eval::EvalPath::kBatch,
+                            eval::EvalPath::kServer}) {
+      eval::EvalOptions options;
+      options.path = path;
+      options.pool = &pool;
+      options.batch_size = 2;  // 5 images -> 3 waves on batch/server
+      options.server_options.queue_capacity = test_queue_capacity();
+      const auto suite =
+          eval::evaluate_seghdc(dataset, dataset.size(), config, options);
+      expect_suites_identical(suite, reference,
+                              std::string(eval::eval_path_name(path)) +
+                                  ", pool " + std::to_string(pool_size));
     }
   }
 }
@@ -368,14 +359,13 @@ TEST(EvalPipeline, MismatchedExternalServerIsAHardError) {
 // Measured op accounting.
 // ---------------------------------------------------------------------
 
-TEST(EvalPipeline, PrunedModeOpsSatisfyConservation) {
-  // Records must carry MEASURED counts: in pruned assignment mode every
-  // candidate is either distance-evaluated or pruned, so the two sides
-  // of the ledger reconcile exactly. A blanket points*clusters*iters
-  // formula would double-count prunes and fail this.
+TEST(EvalPipeline, MeasuredOpsSatisfyConservation) {
+  // Records must carry MEASURED counts: every assignment candidate is
+  // either distance-evaluated or pruned, so the two sides of the ledger
+  // reconcile exactly. A blanket points*clusters*iters formula would
+  // double-count prunes and fail this.
   const auto dataset = extended_dataset();
-  auto config = base_config();
-  config.assign_mode = core::AssignMode::kPruned;
+  const auto config = base_config();
   ASSERT_FALSE(config.compute_margins);
 
   for (const auto path : {eval::EvalPath::kOneShot, eval::EvalPath::kBatch,
