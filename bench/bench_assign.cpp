@@ -7,13 +7,15 @@
 //                  [--distance hamming|cosine] [--seed 7] [--csv]
 //                  [--backend scalar|harley-seal|avx2|neon|auto]
 //
-// Each row reports the assignment time (kmeans_assign spans), the
-// whole-run time, and the measured pruned fraction (candidates skipped
-// / candidate pairs) from the clusterer's own OpCounts, so the table
-// shows WHY a row is fast, not just that it is. Every row must conserve
-// the candidate pairs — distance_evals + candidates_pruned ==
-// points * K * iterations — or the run hard-fails (exit 1): a pair the
-// accounting dropped or double-counted would make the fraction a lie.
+// Each row reports the iterations actually run (a run stops at its
+// first fixed point inside the --iterations budget), the assignment
+// time (kmeans_assign spans), the whole-run time, and the measured
+// pruned fraction (candidates skipped / candidate pairs) from the
+// clusterer's own OpCounts, so the table shows WHY a row is fast, not
+// just that it is. Every row must conserve the candidate pairs —
+// distance_evals + candidates_pruned == points * K * iterations run —
+// or the run hard-fails (exit 1): a pair the accounting dropped or
+// double-counted would make the fraction a lie.
 // Label exactness is not re-checked here; test_kmeans_pruned holds the
 // labels to a plain argmin oracle.
 //
@@ -83,6 +85,7 @@ std::vector<hdc::HyperVector> make_clustered_points(std::size_t count,
 
 struct SweepRow {
   std::size_t k = 0;
+  std::size_t iterations_run = 0;
   double seconds = 0.0;         ///< whole-run wall time, best of N
   double assign_seconds = 0.0;  ///< kmeans_assign span total, best of N
   double pruned_fraction = 0.0;
@@ -152,10 +155,11 @@ int main(int argc, char** argv) try {
 
   std::vector<SweepRow> rows;
   if (csv) {
-    std::printf("k,assign_seconds,total_seconds,pruned_fraction\n");
+    std::printf("k,iterations_run,assign_seconds,total_seconds,"
+                "pruned_fraction\n");
   } else {
-    std::printf("%6s %12s %12s %10s\n", "k", "assign-s", "total-s",
-                "pruned%");
+    std::printf("%6s %6s %12s %12s %10s\n", "k", "iters", "assign-s",
+                "total-s", "pruned%");
   }
   for (const std::size_t k : k_list) {
     if (points_count < k) {
@@ -196,27 +200,30 @@ int main(int argc, char** argv) try {
     const std::uint64_t candidate_pairs =
         result.ops.distance_evals + result.ops.candidates_pruned;
     const std::uint64_t expected_pairs =
-        static_cast<std::uint64_t>(points_count) * k * iterations;
+        static_cast<std::uint64_t>(points_count) * k * result.iterations_run;
     if (candidate_pairs != expected_pairs) {
       std::fprintf(stderr,
                    "FAIL: k=%zu evaluated + pruned = %llu candidate pairs, "
-                   "expected points * k * iterations = %llu\n",
+                   "expected points * k * iterations run = %llu\n",
                    k, static_cast<unsigned long long>(candidate_pairs),
                    static_cast<unsigned long long>(expected_pairs));
       return 1;
     }
+    row.iterations_run = result.iterations_run;
     row.pruned_fraction = static_cast<double>(result.ops.candidates_pruned) /
                           static_cast<double>(candidate_pairs);
     rows.push_back(row);
     if (csv) {
-      std::printf("%zu,%.6f,%.6f,%.4f\n", row.k, row.assign_seconds,
-                  row.seconds, row.pruned_fraction);
+      std::printf("%zu,%zu,%.6f,%.6f,%.4f\n", row.k, row.iterations_run,
+                  row.assign_seconds, row.seconds, row.pruned_fraction);
     } else {
-      std::printf("%6zu %12.4f %12.4f %9.1f%%\n", row.k, row.assign_seconds,
-                  row.seconds, row.pruned_fraction * 100.0);
+      std::printf("%6zu %6zu %12.4f %12.4f %9.1f%%\n", row.k,
+                  row.iterations_run, row.assign_seconds, row.seconds,
+                  row.pruned_fraction * 100.0);
     }
   }
-  std::printf("evaluated + pruned == points * k * iterations at every k\n");
+  std::printf(
+      "evaluated + pruned == points * k * iterations run at every k\n");
 
   // Headline: the K=128 row when swept, else the largest K.
   // "Throughput" is clustering runs per second there.
@@ -228,12 +235,14 @@ int main(int argc, char** argv) try {
   }
   std::string sweep_json = "[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    char entry[160];
+    char entry[192];
     std::snprintf(entry, sizeof entry,
-                  "%s{\"k\": %zu, \"assign_seconds\": %.6f, "
-                  "\"total_seconds\": %.6f, \"pruned_fraction\": %.6f}",
-                  i == 0 ? "" : ", ", rows[i].k, rows[i].assign_seconds,
-                  rows[i].seconds, rows[i].pruned_fraction);
+                  "%s{\"k\": %zu, \"iterations_run\": %zu, "
+                  "\"assign_seconds\": %.6f, \"total_seconds\": %.6f, "
+                  "\"pruned_fraction\": %.6f}",
+                  i == 0 ? "" : ", ", rows[i].k, rows[i].iterations_run,
+                  rows[i].assign_seconds, rows[i].seconds,
+                  rows[i].pruned_fraction);
     sweep_json += entry;
   }
   sweep_json += "]";

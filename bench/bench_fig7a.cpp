@@ -10,6 +10,13 @@
 //                 [--path server|batch|one_shot] [--out out]
 //
 // Runs through the shared eval pipeline (default path: server).
+//
+// The columns answer different questions past the fixed point. K-Means
+// stops at its first exact fixed point inside the budget, so once the
+// sweep passes the iteration where the labels stop changing, IoU and
+// host_seconds flatten: a larger budget runs no more iterations.
+// pi_seconds stays the paper's fixed-budget model (every iteration of
+// the budget runs on the Pi), so it keeps growing with the sweep.
 #include <cstdio>
 #include <exception>
 

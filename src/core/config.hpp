@@ -93,7 +93,10 @@ struct SegHdcConfig {
   std::size_t gamma = 1;
   /// K of the K-Means clusterer (>= 2; labels are in [0, clusters)).
   std::size_t clusters = 2;
-  /// K-Means iteration budget (>= 1; see stop_on_convergence).
+  /// K-Means iteration budget (>= 1). Every run stops at the first exact
+  /// fixed point inside it (paper Figs. 7(a)/8 show the labels saturating
+  /// by iteration ~4), so the output is the full budget's, bit for bit;
+  /// SegmentationResult::converged says whether the budget ran out.
   std::size_t iterations = 10;
   /// Seed of every random draw in the pipeline. Same (config, image) =>
   /// same output, bit for bit, on every path and thread count.
@@ -122,10 +125,6 @@ struct SegHdcConfig {
   /// associative memory; 0 = fault-free). HDC's holographic encoding
   /// makes segmentation degrade gracefully — see bench_robustness.
   double bit_error_rate = 0.0;
-  /// Extension over the paper's fixed iteration budget: stop clustering
-  /// once an iteration changes no assignment (paper Fig. 7(a)/8 show
-  /// saturation by iteration ~4). Identical output, lower latency.
-  bool stop_on_convergence = false;
   /// Extension: also produce a per-pixel confidence margin (cosine
   /// distance to the runner-up centroid minus distance to the assigned
   /// one; larger = more confident). Costs one extra assignment pass.

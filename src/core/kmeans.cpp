@@ -462,6 +462,7 @@ HvKMeansResult HvKMeans::run_impl(
     // at any thread count. ---
     const std::uint64_t moved = assigned.moved;
     const bool rebuild = iter == 0 || 2 * moved >= n;
+    const bool applies_reseed_subs = !pending_reseed_subs.empty();
     result.moved_per_iteration.push_back(moved);
     iter_span.arg("moved", moved);
     iter_span.label("update", rebuild ? "rebuild" : "delta");
@@ -561,10 +562,12 @@ HvKMeansResult HvKMeans::run_impl(
     }
     result.iterations_run = iter + 1;
 
-    // Convergence: iteration 0 always "changes" every point relative to
-    // the zero-initialised assignment, so only later iterations count;
-    // a reseed also perturbs the state and voids the fixed point.
-    if (config_.stop_on_convergence && iter > 0 && moved == 0 &&
+    // Fixed-point exit: an iteration that moved no point, applied no
+    // queued reseed subtract and reseeded nothing left the labels and
+    // the centroids exactly as it found them, so every later iteration
+    // would repeat it bit for bit. Iteration 0 never qualifies: its
+    // rebuild replaces the seed centroids even when no label changed.
+    if (iter > 0 && moved == 0 && !applies_reseed_subs &&
         result.reseeds == reseeds_before) {
       result.converged = true;
       break;

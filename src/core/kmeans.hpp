@@ -5,7 +5,11 @@
 // assigned by COSINE distance (Eq. 7) because summation scales centroid
 // length but not direction, and the initial centroids are the pixels
 // with the largest color difference rather than random picks. The
-// iteration count is a fixed budget (default 10).
+// paper runs a fixed budget of iterations (default 10) and observes the
+// labels saturating by about iteration 4; every run here stops at the
+// first exact fixed point inside the budget instead (an iteration that
+// moves no point, applies no queued reseed subtract and reseeds
+// nothing), so its result is bit-identical to the full budget's.
 //
 // This implementation adds engineering features with identical
 // semantics: (1) points carry integer multiplicities, so deduplicated
@@ -48,11 +52,6 @@ struct HvKMeansConfig {
   std::size_t clusters = 2;
   std::size_t iterations = 10;
   ClusterDistance distance = ClusterDistance::kCosine;
-  /// Stop as soon as an assignment step changes no point (the paper runs
-  /// a fixed budget but observes saturation by iteration ~4; with this
-  /// flag the clusterer banks that saving automatically). The result is
-  /// identical to running the full budget.
-  bool stop_on_convergence = false;
   /// Thread pool for the assignment and update steps (nullptr = the
   /// process-wide shared pool). Results are bit-identical for every pool
   /// size: the assignment writes per-point slots and the update reduces
@@ -72,7 +71,9 @@ struct HvKMeansResult {
   /// (iteration 0 compares against the all-zero initial labels), one
   /// entry per iteration run. The update step moves exactly these.
   std::vector<std::uint64_t> moved_per_iteration;
-  /// True when the run ended because assignments stopped changing.
+  /// True when the run ended at an exact fixed point before exhausting
+  /// the budget; false when it ran all `iterations`. A converged result
+  /// is bit-identical to the same run at any larger budget.
   bool converged = false;
   /// Number of empty-cluster reseeds performed.
   std::size_t reseeds = 0;
@@ -117,12 +118,11 @@ class HvKMeans {
   /// differ only in where the initial directions come from. This is the
   /// temporal/video serving hook: seeding from the previous frame's
   /// majority-binarized centroids starts the iteration near the previous
-  /// solution, so near-identical frames converge in a fraction of the
-  /// iterations (bank the saving with stop_on_convergence). Requires
-  /// exactly `clusters` seed HVs of the points' dimension, zero-padded
-  /// like every HyperVector. Deterministic like `run`: same points,
-  /// weights, and seed centroids give bit-identical assignments at every
-  /// pool size and backend.
+  /// solution, so near-identical frames can reach the fixed point in
+  /// fewer iterations. Requires exactly `clusters` seed HVs of the
+  /// points' dimension, zero-padded like every HyperVector.
+  /// Deterministic like `run`: same points, weights, and seed centroids
+  /// give bit-identical assignments at every pool size and backend.
   HvKMeansResult run_from_centroids(
       const hdc::HvBlock& points, std::span<const std::uint32_t> weights,
       std::span<const hdc::HyperVector> seed_centroids) const;

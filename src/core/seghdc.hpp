@@ -58,7 +58,12 @@ struct SegmentationResult {
   /// units (>= 0; larger = more confident).
   img::ImageF32 margins;
   std::size_t clusters = 0;
+  /// K-Means iterations run: the first exact fixed point, or the whole
+  /// SegHdcConfig::iterations budget when none came sooner.
   std::size_t iterations_run = 0;
+  /// True when K-Means stopped at a fixed point before exhausting the
+  /// budget. Either way the labels equal the full budget's.
+  bool converged = false;
   std::size_t unique_points = 0;  ///< points actually clustered
   std::vector<std::uint64_t> cluster_pixel_counts;
   SegmentationTimings timings;

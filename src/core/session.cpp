@@ -726,8 +726,6 @@ SegmentationResult SegHdcSession::finalize_impl(
       .clusters = config_.clusters,
       .iterations = config_.iterations,
       .distance = config_.cluster_distance,
-      .stop_on_convergence = config_.stop_on_convergence ||
-                             options.force_stop_on_convergence,
       .pool = pool_,
   });
   HvKMeansResult clustering;
@@ -827,6 +825,7 @@ SegmentationResult SegHdcSession::finalize_impl(
   }
 
   result.iterations_run = clustering.iterations_run;
+  result.converged = clustering.converged;
   result.paper_equivalent_ops = analytic_seghdc_ops(
       encoded.width * encoded.height, config_.dim, config_.clusters,
       config_.iterations);
@@ -900,13 +899,13 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
   options.centroids_out = &next_centroids;
   if (!s.prev_centroids.empty()) {
     options.warm_centroids = s.prev_centroids;
-    options.force_stop_on_convergence = true;
     stats.warm = true;
   }
   SegmentationResult result = finalize_impl(std::move(encoded), options);
   result.timings.encode_seconds = encode_seconds;
   result.timings.total_seconds = total_watch.seconds();
   stats.kmeans_iterations = result.iterations_run;
+  stats.converged = result.converged;
 
   s.prev_frame = frame;                          // next frame's baseline
   s.has_prev = true;

@@ -77,6 +77,9 @@ struct StreamFrameStats {
   std::size_t tiles_encoded = 0;
   /// K-Means iterations this frame actually ran (0 on replay).
   std::size_t kmeans_iterations = 0;
+  /// True when this frame's K-Means stopped at a fixed point inside the
+  /// iteration budget (false when it ran out, and on replay).
+  bool converged = false;
   /// Wall time of the whole segment_stream call.
   double seconds = 0.0;
 };
@@ -219,9 +222,10 @@ class SegHdcSession {
   /// semantics — warm-started labels may differ from a cold `segment`
   /// of the same frame (by design; the drift is bounded by tests):
   ///   - K-Means is seeded from the previous frame's majority-binarized
-  ///     centroids instead of `largest_color_difference_seeds`, and
-  ///     stops on convergence, so near-identical frames converge in a
-  ///     fraction of the iteration budget.
+  ///     centroids instead of `largest_color_difference_seeds`. Like
+  ///     every run it stops at its first exact fixed point; a seed near
+  ///     the previous solution can reach it in fewer iterations than a
+  ///     cold start (`StreamFrameStats::kmeans_iterations`).
   ///   - Row bands whose pixel bytes are unchanged since the previous
   ///     frame (content hash + exact byte compare) reuse their cached
   ///     dedup table and encoded HVs instead of re-encoding.
@@ -274,10 +278,6 @@ class SegHdcSession {
     /// (previous frame's majority centroids) instead of
     /// `largest_color_difference_seeds`.
     std::span<const hdc::HyperVector> warm_centroids{};
-    /// Force `stop_on_convergence` regardless of config — semantics-free
-    /// (a converged assignment is a fixed point), it only banks unused
-    /// iterations on warm frames.
-    bool force_stop_on_convergence = false;
     /// When non-null, receives the final centroids' majority-binarized
     /// snapshots (the warm seeds for the next frame).
     std::vector<hdc::HyperVector>* centroids_out = nullptr;

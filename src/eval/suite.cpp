@@ -152,7 +152,6 @@ bool same_semantics(const core::SegHdcConfig& a,
          a.deduplicate == b.deduplicate &&
          a.color_quantization_shift == b.color_quantization_shift &&
          a.bit_error_rate == b.bit_error_rate &&
-         a.stop_on_convergence == b.stop_on_convergence &&
          a.compute_margins == b.compute_margins;
 }
 

@@ -225,6 +225,11 @@ class SegHdcFleet {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
+  /// Test seam (tests/test_fleet.cpp): takes and returns fleet-wide
+  /// in-flight slots directly, so a test can queue work behind a held
+  /// slot and observe the dispatch order without depending on timing.
+  friend struct FleetSlotHold;
+
   /// A request admitted at the fleet gate, waiting for dispatch. The
   /// stopwatch starts at admission, so latency covers gate wait.
   struct PendingRequest {

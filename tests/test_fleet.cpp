@@ -27,6 +27,35 @@
 #include "src/serve/server.hpp"
 #include "src/util/admission_gate.hpp"
 
+namespace seghdc::serve {
+
+/// Holds the fleet-wide in-flight slot it takes at construction until
+/// release() (or destruction), then wakes the dispatcher: requests
+/// submitted meanwhile all queue before any of them dispatches.
+struct FleetSlotHold {
+  explicit FleetSlotHold(SegHdcFleet& fleet) : fleet_(fleet) {
+    held_ = fleet_.total_in_flight_.try_acquire();
+    EXPECT_TRUE(held_) << "the fleet had no free slot to hold";
+  }
+  ~FleetSlotHold() { release(); }
+  FleetSlotHold(const FleetSlotHold&) = delete;
+  FleetSlotHold& operator=(const FleetSlotHold&) = delete;
+
+  void release() {
+    if (held_) {
+      held_ = false;
+      fleet_.total_in_flight_.release();
+      fleet_.notify_progress();
+    }
+  }
+
+ private:
+  SegHdcFleet& fleet_;
+  bool held_ = false;
+};
+
+}  // namespace seghdc::serve
+
 namespace {
 
 using namespace seghdc;
@@ -498,17 +527,19 @@ TEST(SegHdcFleet, PerTenantInFlightCapIsRespected) {
 // --- Fair share. ---
 
 TEST(SegHdcFleet, LateTenantIsNotStarvedByAnEarlierFlood) {
-  // One fleet-wide slot: dispatch order is fully serialised, so the
-  // round-robin rotation is observable. Tenant A floods 8 heavy images;
-  // tenant B then submits 2. Under fair share B's requests interleave
-  // with A's (B done after at most ~4 dispatches) instead of waiting
-  // behind all 8.
+  // One fleet-wide slot, held by the test while tenant A floods 8 heavy
+  // images and tenant B then submits 2: nothing dispatches until all 10
+  // are queued, so the round-robin rotation alone decides the order
+  // (A, B, A, B, A, ...), whatever the scheduler does to this thread.
+  // Under fair share both of B's requests complete before A's third is
+  // even dispatched; first-come order would keep B behind all 8.
   serve::FleetOptions fleet_options;
   fleet_options.max_in_flight_total = 1;
   serve::SegHdcFleet fleet(fleet_options);
   fleet.add_tenant("flood", golden_config());
   fleet.add_tenant("late", golden_config());
 
+  serve::FleetSlotHold hold(fleet);
   const img::ImageU8 heavy = make_gray_card(48, 30, 200);
   std::vector<std::future<core::SegmentationResult>> flood_futures;
   for (int i = 0; i < 8; ++i) {
@@ -518,14 +549,17 @@ TEST(SegHdcFleet, LateTenantIsNotStarvedByAnEarlierFlood) {
   for (int i = 0; i < 2; ++i) {
     late_futures.push_back(fleet.submit("late", heavy));
   }
+  EXPECT_EQ(fleet.tenant_stats("flood").dispatched, 0u);
+  EXPECT_EQ(fleet.tenant_stats("late").dispatched, 0u);
+  hold.release();
+
+  // The server counts a completion before it frees the slot, so by the
+  // time A's third request can run, B's count already shows both.
+  flood_futures[2].wait();
+  EXPECT_EQ(fleet.tenant_stats("late").server.completed, 2u);
   for (auto& future : late_futures) {
     (void)future.get();
   }
-  // The moment B's last result arrived, A's flood must not be done:
-  // strict alternation means at most ~4 of its 8 completed (generous
-  // bound: < 8 — finishing all 8 would need 4+ more sequential
-  // segmentations after B's last completion).
-  EXPECT_LT(fleet.tenant_stats("flood").server.completed, 8u);
   for (auto& future : flood_futures) {
     (void)future.get();
   }

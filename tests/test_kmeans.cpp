@@ -67,7 +67,12 @@ TEST(HvKMeans, SeparatesTwoClusters) {
   const std::vector<std::size_t> seeds{0, 1};  // one from each family
   const auto result = kmeans.run(data.points, {}, seeds);
   EXPECT_GE(clustering_accuracy(result.assignment, data.truth), 0.99);
-  EXPECT_EQ(result.iterations_run, 10u);
+  // Two well-separated families settle long before the budget: the run
+  // stops at the first iteration that moves nothing.
+  EXPECT_TRUE(result.converged);
+  EXPECT_LT(result.iterations_run, 10u);
+  ASSERT_EQ(result.moved_per_iteration.size(), result.iterations_run);
+  EXPECT_EQ(result.moved_per_iteration.back(), 0u);
 }
 
 TEST(HvKMeans, HammingDistanceVariantAlsoSeparates) {
@@ -275,19 +280,21 @@ TEST(HvKMeans, OpsAccounting) {
   const auto result =
       HvKMeans(config).run(data.points, {}, std::vector<std::size_t>{0, 1});
   ASSERT_EQ(result.reseeds, 0u);
+  ASSERT_LE(result.iterations_run, 4u);
   const std::uint64_t n = data.points.size();
   // Measured assignment work conserves the n * K pairs of every
-  // iteration: each is either evaluated (a full dot of dim adds) or
+  // iteration run: each is either evaluated (a full dot of dim adds) or
   // pruned (test_kmeans_pruned pins the split).
   EXPECT_EQ(result.ops.distance_evals + result.ops.candidates_pruned,
-            n * 2 * 4);
+            n * 2 * result.iterations_run);
   EXPECT_LE(result.ops.dot_adds, result.ops.distance_evals * 256);
 
-  // The moved counts, measured independently: the labels after budget t
-  // against those after budget t - 1 (all zero before iteration 0).
+  // The moved counts of the iterations actually run, measured
+  // independently: the labels after budget t against those after budget
+  // t - 1 (all zero before iteration 0).
   std::vector<std::uint64_t> moved;
   std::vector<std::uint32_t> previous(n, 0);
-  for (std::size_t budget = 1; budget <= 4; ++budget) {
+  for (std::size_t budget = 1; budget <= result.iterations_run; ++budget) {
     config.iterations = budget;
     const auto partial =
         HvKMeans(config).run(data.points, {}, std::vector<std::size_t>{0, 1});
@@ -403,10 +410,10 @@ void fnv1a_fold(std::uint64_t& hash, std::uint64_t value) {
   }
 }
 
-/// FNV-1a over everything a caller can observe of a result: labels,
-/// cluster weights, centroid counts and total weights (the reseed's
-/// stale source mass included), reseeds, and iterations run.
-std::uint64_t kmeans_result_hash(const HvKMeansResult& result) {
+/// FNV-1a over the state a result carries: labels, cluster weights,
+/// centroid counts and total weights (the reseed's stale source mass
+/// included), and reseeds. Iterations run are checked on their own.
+std::uint64_t kmeans_state_hash(const HvKMeansResult& result) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const auto label : result.assignment) {
     fnv1a_fold(hash, label);
@@ -421,7 +428,6 @@ std::uint64_t kmeans_result_hash(const HvKMeansResult& result) {
     fnv1a_fold(hash, centroid.total_weight());
   }
   fnv1a_fold(hash, result.reseeds);
-  fnv1a_fold(hash, result.iterations_run);
   return hash;
 }
 
@@ -496,22 +502,25 @@ TEST(HvKMeansDelta, QueuedReseedSubtractsLeaveExactCentroids) {
 }
 
 TEST(HvKMeansDelta, ReseedHeavyRunMatchesPinnedHashes) {
-  // Hashes recorded with a full centroid rebuild in every iteration, so
-  // they pin that the delta update changes nothing, reseeds included:
-  // the destination gains the point at once, the source keeps its mass
-  // until the next update step, and a reseed in the final iteration
-  // leaves that stale mass in the returned centroids. Pool sizes must
-  // not move them.
+  // State hashes recorded with a full centroid rebuild in every
+  // iteration and the whole budget of 8 run, so they pin that neither
+  // the delta update nor the fixed-point exit changes anything, reseeds
+  // included: the destination gains the point at once, the source keeps
+  // its mass until the next update step, and a reseed in the final
+  // iteration leaves that stale mass in the returned centroids. The
+  // cosine run reseeds through its whole budget; the Hamming run
+  // reaches its fixed point early. Pool sizes must not move them.
   const auto data = make_reseed_heavy();
   const std::vector<std::size_t> seeds{0, 1, 2, 3, 4, 5};
   struct Expected {
     ClusterDistance distance;
     std::size_t reseeds;
-    std::uint64_t hash;
+    std::uint64_t state_hash;
+    std::size_t iterations_run;
   };
   for (const Expected expected :
-       {Expected{ClusterDistance::kCosine, 18, 4015937929893554113ULL},
-        Expected{ClusterDistance::kHamming, 5, 1932563290202939059ULL}}) {
+       {Expected{ClusterDistance::kCosine, 18, 10028201721244543401ULL, 8},
+        Expected{ClusterDistance::kHamming, 5, 122982636100900443ULL, 4}}) {
     for (const std::size_t threads : {1u, 4u}) {
       SCOPED_TRACE("distance " +
                    std::to_string(static_cast<int>(expected.distance)) +
@@ -525,7 +534,9 @@ TEST(HvKMeansDelta, ReseedHeavyRunMatchesPinnedHashes) {
           HvKMeans(config).run(data.points, data.weights, seeds);
       EXPECT_EQ(result.reseeds, expected.reseeds);
       EXPECT_TRUE(ran_a_delta_update(result));
-      EXPECT_EQ(kmeans_result_hash(result), expected.hash);
+      EXPECT_EQ(kmeans_state_hash(result), expected.state_hash);
+      EXPECT_EQ(result.iterations_run, expected.iterations_run);
+      EXPECT_EQ(result.converged, expected.iterations_run < 8);
     }
   }
 }

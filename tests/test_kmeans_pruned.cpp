@@ -253,12 +253,13 @@ std::vector<std::uint32_t> oracle_labels(
 }
 
 /// Runs `config` with budgets 1..iterations and checks each iteration's
-/// labels against the oracle. With stop_on_convergence off, a run of
-/// budget t ends on exactly the centroids iteration t assigns against
-/// (queued reseed mass included; the seeds for t = 0), so the run of
-/// budget t + 1 must carry the oracle's labels — except that each reseed
-/// in iteration t moves one point into a cluster the assignment left
-/// empty. Returns the full-budget run.
+/// labels against the oracle. A run of budget t ends on exactly the
+/// centroids iteration t assigns against (queued reseed mass included;
+/// the seeds for t = 0), so the run of budget t + 1 must carry the
+/// oracle's labels — except that each reseed in iteration t moves one
+/// point into a cluster the assignment left empty. Once a run stops at
+/// its fixed point, every larger budget returns that same run, whose
+/// labels the oracle reproduces exactly. Returns the full-budget run.
 HvKMeansResult run_checked_by_oracle(
     const HvKMeansConfig& config, const std::vector<hdc::HyperVector>& points,
     const std::vector<std::size_t>& seeds) {
@@ -369,6 +370,88 @@ TEST(PrunedAssignment, TieBreakAdversarialCoincidentCentroidsMatchOracle) {
                                       HvKMeans(config).run(points, {}, seeds));
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Fixed-point exit: a run stops at the first iteration that moves no
+// point, applies no queued reseed subtract, and reseeds nothing — and
+// only there, so a converged run is a true fixed point.
+
+TEST(FixedPointExit, ConvergedRunsAreExactFixedPointsAcrossASeededSweep) {
+  // Small, reseed-heavy runs: few tight anchor families, many clusters.
+  // An iteration that moves nothing right after a reseed still applies
+  // the reseed's queued source subtract, so its centroids change; the
+  // sweep must contain such runs, and none of them may stop there.
+  constexpr std::uint64_t kSweep = 6000;
+  constexpr std::size_t kBudget = 40;
+  util::ThreadPool serial(1);
+  std::size_t converged = 0;
+  std::size_t zero_move_after_reseed = 0;
+  for (std::uint64_t seed = 0; seed < kSweep; ++seed) {
+    util::Rng rng(seed);
+    const std::size_t n = 20 + rng.next_below(60);
+    const std::size_t dim = 64 * (1 + rng.next_below(4));
+    const std::size_t families = 2 + rng.next_below(6);
+    std::vector<hdc::HyperVector> anchors;
+    for (std::size_t f = 0; f < families; ++f) {
+      anchors.push_back(hdc::HyperVector::random(dim, rng));
+    }
+    std::vector<hdc::HyperVector> points;
+    for (std::size_t i = 0; i < n; ++i) {
+      auto point = anchors[rng.next_below(families)];
+      for (std::size_t f = 0; f < dim / 8; ++f) {
+        point.flip(rng.next_below(dim));
+      }
+      points.push_back(point);
+    }
+    const std::size_t k = 2 + rng.next_below(19);
+    const auto seeds = first_n_seeds(k);
+    for (const auto distance :
+         {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " n " +
+                   std::to_string(n) + " dim " + std::to_string(dim) +
+                   " k " + std::to_string(k) +
+                   (distance == ClusterDistance::kCosine ? " cosine"
+                                                         : " hamming"));
+      HvKMeansConfig config{
+          .clusters = k, .iterations = kBudget, .distance = distance};
+      config.pool = &serial;
+      const auto result = HvKMeans(config).run(points, {}, seeds);
+      ASSERT_EQ(result.moved_per_iteration.size(), result.iterations_run);
+      if (!result.converged) {
+        EXPECT_EQ(result.iterations_run, kBudget);
+        continue;
+      }
+      ++converged;
+      // A fixed point: the final centroids assign every point where it
+      // already is, and five more iterations of budget change nothing.
+      EXPECT_EQ(oracle_labels(result.centroids, points, distance),
+                result.assignment);
+      config.iterations = kBudget + 5;
+      expect_kmeans_results_identical(
+          result, HvKMeans(config).run(points, {}, seeds));
+
+      // Count the zero-move iterations t that follow a reseed in t - 1:
+      // the run at budget t reseeded more than the run at budget t - 1.
+      const auto reseeds_at = [&](std::size_t budget) -> std::size_t {
+        if (budget == 0) {
+          return 0;
+        }
+        config.iterations = budget;
+        return HvKMeans(config).run(points, {}, seeds).reseeds;
+      };
+      for (std::size_t t = 1; t < result.iterations_run; ++t) {
+        if (result.moved_per_iteration[t] == 0 &&
+            reseeds_at(t) > reseeds_at(t - 1)) {
+          ++zero_move_after_reseed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(converged, kSweep);
+  EXPECT_GT(zero_move_after_reseed, 0u)
+      << "the sweep no longer reaches a zero-move iteration right after a "
+         "reseed";
 }
 
 // ---------------------------------------------------------------------

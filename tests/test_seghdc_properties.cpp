@@ -133,21 +133,30 @@ TEST_P(QuantizationSweep, QualityHolds) {
 INSTANTIATE_TEST_SUITE_P(Shifts, QuantizationSweep,
                          ::testing::Values(0, 1, 2, 3, 4));
 
-// --- Convergence extension. ---
+// --- Convergence: every run stops at its first exact fixed point, so a
+// converged run at budget t equals the same run at budget t + 5. ---
+void expect_same_run(const SegmentationResult& a, const SegmentationResult& b) {
+  EXPECT_EQ(a.labels, b.labels);
+  EXPECT_EQ(a.iterations_run, b.iterations_run);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.cluster_pixel_counts, b.cluster_pixel_counts);
+  EXPECT_EQ(a.ops.distance_evals, b.ops.distance_evals);
+  EXPECT_EQ(a.ops.words_scanned, b.ops.words_scanned);
+  EXPECT_EQ(a.ops.centroid_update_adds, b.ops.centroid_update_adds);
+}
+
 TEST(Convergence, EarlyStopMatchesFullBudget) {
   const auto card = make_card(48, 1);
-  SegHdcConfig fixed;
-  fixed.dim = 1024;
-  fixed.beta = 8;
-  fixed.iterations = 10;
-  SegHdcConfig early = fixed;
-  early.stop_on_convergence = true;
+  SegHdcConfig config;
+  config.dim = 1024;
+  config.beta = 8;
+  config.iterations = 10;
+  const auto stopped = SegHdc(config).segment(card.image);
+  EXPECT_TRUE(stopped.converged);
+  EXPECT_LT(stopped.iterations_run, 10u);
 
-  const auto full = SegHdc(fixed).segment(card.image);
-  const auto stopped = SegHdc(early).segment(card.image);
-  EXPECT_EQ(full.labels, stopped.labels);
-  EXPECT_LT(stopped.iterations_run, full.iterations_run);
-  EXPECT_EQ(full.iterations_run, 10u);
+  config.iterations = 15;
+  expect_same_run(stopped, SegHdc(config).segment(card.image));
 }
 
 TEST(Convergence, ReportsIterationsRun) {
@@ -156,10 +165,22 @@ TEST(Convergence, ReportsIterationsRun) {
   config.dim = 512;
   config.beta = 8;
   config.iterations = 50;
-  config.stop_on_convergence = true;
   const auto result = SegHdc(config).segment(card.image);
+  EXPECT_TRUE(result.converged);
   EXPECT_LT(result.iterations_run, 50u);
   EXPECT_GE(result.iterations_run, 2u);
+
+  // The budget that just reaches the fixed point converges exactly as
+  // the larger budgets do; one iteration less runs out without it.
+  const std::size_t t = result.iterations_run;
+  for (const std::size_t budget : {t, t + 5}) {
+    config.iterations = budget;
+    expect_same_run(result, SegHdc(config).segment(card.image));
+  }
+  config.iterations = t - 1;
+  const auto short_run = SegHdc(config).segment(card.image);
+  EXPECT_FALSE(short_run.converged);
+  EXPECT_EQ(short_run.iterations_run, t - 1);
 }
 
 // --- Gamma sweep: raising gamma must not break the easy case and must

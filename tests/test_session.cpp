@@ -79,6 +79,7 @@ void expect_results_identical(const core::SegmentationResult& a,
   EXPECT_EQ(a.margins, b.margins);
   EXPECT_EQ(a.clusters, b.clusters);
   EXPECT_EQ(a.iterations_run, b.iterations_run);
+  EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.unique_points, b.unique_points);
   EXPECT_EQ(a.cluster_pixel_counts, b.cluster_pixel_counts);
   expect_ops_equal(a.ops, b.ops);
@@ -122,9 +123,9 @@ TEST(SegHdcSession, MatchesLegacySegHdcAcrossConfigs) {
     configs.push_back(c);
   }
   {
-    auto c = base_config();  // quantised + early stopping
+    auto c = base_config();  // quantised, with budget to converge
     c.color_quantization_shift = 3;
-    c.stop_on_convergence = true;
+    c.iterations = 12;
     configs.push_back(c);
   }
   {
