@@ -1,9 +1,10 @@
-// K-Means assignment sweep: the candidate-pruned assignment at K in
-// {2, 8, 32, 64, 128, 256} on clustered synthetic HVs.
+// K-Means assignment sweep: the candidate-pruned assignment with
+// carried per-point bounds at K in {2, 8, 32, 64, 128, 256} on synthetic
+// HVs that keep moving for several iterations.
 //
 //   ./bench_assign [--points 3000] [--dim 2048]
 //                  [--k-list 2,8,32,64,128,256]
-//                  [--iterations 4] [--repeats 3] [--threads 1]
+//                  [--iterations 10] [--repeats 3] [--threads 1]
 //                  [--distance hamming|cosine] [--seed 7] [--csv]
 //                  [--backend scalar|harley-seal|avx2|neon|auto]
 //
@@ -12,18 +13,26 @@
 // time (kmeans_assign spans), the whole-run time, and the measured
 // pruned fraction (candidates skipped / candidate pairs) from the
 // clusterer's own OpCounts, so the table shows WHY a row is fast, not
-// just that it is. Every row must conserve the candidate pairs —
-// distance_evals + candidates_pruned == points * K * iterations run —
-// or the run hard-fails (exit 1): a pair the accounting dropped or
-// double-counted would make the fraction a lie.
+// just that it is. Under each row, one line per iteration of the last
+// repeat gives the points moved, the points settled by their carried
+// bounds, the evaluated and pruned pairs, and the assignment time, all
+// read from that iteration's spans. Every row must conserve the
+// candidate pairs — distance_evals + candidates_pruned == points * K *
+// iterations run, a settled point counting K pruned pairs — or the run
+// hard-fails (exit 1): a pair the accounting dropped or double-counted
+// would make the fraction a lie.
 // Label exactness is not re-checked here; test_kmeans_pruned holds the
 // labels to a plain argmin oracle.
 //
 // The dataset is K anchor HVs of varied density (popcounts spread
-// between ~25% and ~75% of dim) with ~2% of bits flipped per point —
-// the popcount spread feeds the norm-bound layer, the tight clusters
-// feed the early-exit bounded kernels. Emits BENCH_assign.json with a
-// per-K sweep array plus the K=128 headline speedup.
+// between ~25% and ~75% of dim); each point mixes two neighbouring
+// anchors bit by bit at a random ratio and then flips ~2% of its bits.
+// The points form a continuum between the families rather than tight
+// clusters, so the runs keep moving points well past iteration 1 (the
+// iterations that carried bounds can settle), while the popcount spread
+// still feeds the norm-bound layer. Emits BENCH_assign.json with a
+// per-K sweep array (each with its per-iteration rows) plus the K=128
+// headline.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -48,13 +57,13 @@ namespace {
 
 using namespace seghdc;
 
-/// K anchor HVs with densities swept across [0.25, 0.75], then one
-/// point per (slot, anchor) with ~2% of bits flipped. Point j belongs
-/// to anchor j % k, so seeds {0..k-1} start one centroid per family.
-std::vector<hdc::HyperVector> make_clustered_points(std::size_t count,
-                                                    std::size_t dim,
-                                                    std::size_t k,
-                                                    std::uint64_t seed) {
+/// K anchor HVs with densities swept across [0.25, 0.75], then point j
+/// mixes anchors j % k and (j + 1) % k at a random per-point ratio and
+/// flips ~2% of its bits. Seeds {0..k-1} start one centroid per family.
+std::vector<hdc::HyperVector> make_mixed_points(std::size_t count,
+                                                std::size_t dim,
+                                                std::size_t k,
+                                                std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<hdc::HyperVector> anchors;
   anchors.reserve(k);
@@ -74,7 +83,15 @@ std::vector<hdc::HyperVector> make_clustered_points(std::size_t count,
   std::vector<hdc::HyperVector> points;
   points.reserve(count);
   for (std::size_t j = 0; j < count; ++j) {
-    auto point = anchors[j % k];
+    const auto& a = anchors[j % k];
+    const auto& b = anchors[(j + 1) % k];
+    const std::uint64_t ratio = rng() & 0xFFFF;
+    hdc::HyperVector point(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      if ((rng() & 0xFFFF) < ratio ? a.get(i) : b.get(i)) {
+        point.flip(i);
+      }
+    }
     for (std::size_t f = 0; f < dim / 50; ++f) {
       point.flip(rng.next_below(dim));
     }
@@ -83,12 +100,23 @@ std::vector<hdc::HyperVector> make_clustered_points(std::size_t count,
   return points;
 }
 
+/// One iteration of a run, read from its kmeans_iter and kmeans_assign
+/// spans.
+struct IterationRow {
+  std::uint64_t moved = 0;
+  std::uint64_t skipped = 0;
+  std::uint64_t evaluated = 0;
+  std::uint64_t pruned = 0;
+  double assign_ms = 0.0;
+};
+
 struct SweepRow {
   std::size_t k = 0;
   std::size_t iterations_run = 0;
   double seconds = 0.0;         ///< whole-run wall time, best of N
   double assign_seconds = 0.0;  ///< kmeans_assign span total, best of N
   double pruned_fraction = 0.0;
+  std::vector<IterationRow> iterations;  ///< of the last repeat
 };
 
 /// Sum of this run's "kmeans_assign" span durations — the assignment
@@ -104,6 +132,26 @@ double assign_seconds_of(const std::vector<obs::TraceEvent>& events) {
   return static_cast<double>(total_ns) * 1e-9;
 }
 
+/// Per-iteration rows of one run: the moved count from each kmeans_iter
+/// span, the work split and time from the kmeans_assign span inside it
+/// (spans arrive sorted by start time, an iteration before its assign).
+std::vector<IterationRow> iterations_of(
+    const std::vector<obs::TraceEvent>& events) {
+  std::vector<IterationRow> rows;
+  for (const auto& event : events) {
+    const std::string_view name(event.name);
+    if (name == "kmeans_iter") {
+      rows.push_back({.moved = event.arg2_value});
+    } else if (name == "kmeans_assign" && !rows.empty()) {
+      rows.back().evaluated = event.arg1_value;
+      rows.back().pruned = event.arg2_value;
+      rows.back().skipped = event.arg3_value;
+      rows.back().assign_ms = static_cast<double>(event.dur_ns) * 1e-6;
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -114,7 +162,7 @@ int main(int argc, char** argv) try {
       static_cast<std::size_t>(cli.get_int("points", 3000));
   const auto dim = static_cast<std::size_t>(cli.get_int("dim", 2048));
   const auto iterations =
-      static_cast<std::size_t>(cli.get_int("iterations", 4));
+      static_cast<std::size_t>(cli.get_int("iterations", 10));
   const auto repeats = static_cast<std::size_t>(cli.get_int("repeats", 3));
   const auto threads = static_cast<std::size_t>(cli.get_int("threads", 1));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
@@ -167,7 +215,7 @@ int main(int argc, char** argv) try {
                    points_count, k);
       return 1;
     }
-    const auto points = make_clustered_points(points_count, dim, k, seed);
+    const auto points = make_mixed_points(points_count, dim, k, seed);
     std::vector<std::size_t> seeds(k);
     for (std::size_t c = 0; c < k; ++c) {
       seeds[c] = c;
@@ -189,7 +237,9 @@ int main(int argc, char** argv) try {
       const util::Stopwatch watch;
       result = kmeans.run(points, {}, seeds);
       const double seconds = watch.seconds();
-      const double assign_seconds = assign_seconds_of(trace.events());
+      const auto events = trace.events();
+      const double assign_seconds = assign_seconds_of(events);
+      row.iterations = iterations_of(events);
       row.seconds = r == 0 ? seconds : std::min(row.seconds, seconds);
       row.assign_seconds = r == 0 ? assign_seconds
                                   : std::min(row.assign_seconds,
@@ -220,6 +270,15 @@ int main(int argc, char** argv) try {
       std::printf("%6zu %6zu %12.4f %12.4f %9.1f%%\n", row.k,
                   row.iterations_run, row.assign_seconds, row.seconds,
                   row.pruned_fraction * 100.0);
+      for (std::size_t t = 0; t < row.iterations.size(); ++t) {
+        const IterationRow& it = row.iterations[t];
+        std::printf("         iter %2zu  moved %6llu  skipped %6llu  "
+                    "evaluated %8llu  pruned %8llu  %9.3f ms\n",
+                    t, static_cast<unsigned long long>(it.moved),
+                    static_cast<unsigned long long>(it.skipped),
+                    static_cast<unsigned long long>(it.evaluated),
+                    static_cast<unsigned long long>(it.pruned), it.assign_ms);
+      }
     }
   }
   std::printf(
@@ -235,15 +294,29 @@ int main(int argc, char** argv) try {
   }
   std::string sweep_json = "[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    char entry[192];
+    char entry[256];
     std::snprintf(entry, sizeof entry,
                   "%s{\"k\": %zu, \"iterations_run\": %zu, "
                   "\"assign_seconds\": %.6f, \"total_seconds\": %.6f, "
-                  "\"pruned_fraction\": %.6f}",
+                  "\"pruned_fraction\": %.6f, \"per_iteration\": [",
                   i == 0 ? "" : ", ", rows[i].k, rows[i].iterations_run,
                   rows[i].assign_seconds, rows[i].seconds,
                   rows[i].pruned_fraction);
     sweep_json += entry;
+    for (std::size_t t = 0; t < rows[i].iterations.size(); ++t) {
+      const IterationRow& it = rows[i].iterations[t];
+      std::snprintf(entry, sizeof entry,
+                    "%s{\"moved\": %llu, \"skipped\": %llu, "
+                    "\"evaluated\": %llu, \"pruned\": %llu, "
+                    "\"assign_ms\": %.4f}",
+                    t == 0 ? "" : ", ",
+                    static_cast<unsigned long long>(it.moved),
+                    static_cast<unsigned long long>(it.skipped),
+                    static_cast<unsigned long long>(it.evaluated),
+                    static_cast<unsigned long long>(it.pruned), it.assign_ms);
+      sweep_json += entry;
+    }
+    sweep_json += "]}";
   }
   sweep_json += "]";
   char headline_assign[32];

@@ -8,12 +8,9 @@
 //                      [--backend scalar|harley-seal|avx2|neon|auto]
 //                      [--single-image WxH] [--tile-rows 0,1,8]
 //
-// Batch mode (default): three configurations are timed over the same
+// Batch mode (default): two configurations are timed over the same
 // DSB2018-like batch:
 //
-//   legacy    — a fresh one-shot session per image (the stateless
-//               SegHdc::segment cost: encoder state rebuilt every call),
-//               single-threaded
 //   session   — one SegHdcSession, sequential segment() loop on one
 //               thread (encoder state reused; the serving baseline)
 //   many@T    — SegHdcSession::segment_many sharding the batch across a
@@ -250,24 +247,6 @@ int main(int argc, char** argv) try {
   };
 
   std::vector<Row> rows;
-
-  {
-    util::ThreadPool one(1);
-    auto row = time_batch([&] {
-      std::vector<core::SegmentationResult> results;
-      results.reserve(images.size());
-      for (const auto& image : images) {
-        // Fresh session per image: the legacy SegHdc::segment cost
-        // (encoder item memories rebuilt for every call).
-        const core::SegHdcSession session(config,
-                                          core::SegHdcSession::Options{&one});
-        results.push_back(session.segment(image));
-      }
-      return results;
-    });
-    row.name = "legacy(rebuild)";
-    rows.push_back(row);
-  }
 
   // Per-image latency of the serving baseline, recorded through the
   // same registry/histogram machinery the server exports — so the

@@ -126,7 +126,7 @@ HvKMeansResult HvKMeans::run_impl(
   std::vector<std::int64_t> centroid_count_sum(
       config_.distance == ClusterDistance::kCosine ? k : 0);
   // Assignment work, counted per 64-point block: each block keeps its
-  // counters local and writes its own slot once, and the slots are
+  // counters local and writes its own slot once per pass, and the slots are
   // summed in block order — no shared mutable state inside the scan, and
   // integer sums make the totals identical at every pool size.
   struct AssignCounts {
@@ -135,10 +135,55 @@ HvKMeansResult HvKMeans::run_impl(
     std::uint64_t kernel_evals = 0;
     std::uint64_t pruned = 0;
     std::uint64_t words = 0;
+    std::uint64_t skipped = 0;
   };
   constexpr std::size_t kAssignBlock = 64;
   std::vector<AssignCounts> block_counts((n + kAssignBlock - 1) /
                                          kAssignBlock);
+
+  // Carried per-point bounds (Hamerly, "Making k-means even faster",
+  // SDM 2010): 16 bytes per point, no n * K table. For cosine,
+  // bound_own is a lower bound on the integer dot with the own
+  // centroid and bound_other an upper bound on max over the other
+  // centroids of dot / norm; for Hamming, an upper bound on the own
+  // distance and a lower bound on every other one. Each assignment
+  // loosens them by every centroid's exact drift since the previous
+  // assignment; a point whose loosened bounds still prove its own
+  // centroid the strict unique nearest keeps its label without a scan
+  // (`settled`). `no_bound` never proves anything: it marks a point
+  // whose bounds a reseed invalidated.
+  const bool cosine = config_.distance == ClusterDistance::kCosine;
+  const double no_bound = cosine ? std::numeric_limits<double>::infinity()
+                                 : -std::numeric_limits<double>::infinity();
+  std::vector<std::int64_t> bound_own(n, 0);
+  std::vector<double> bound_other(n, no_bound);
+  std::vector<std::uint8_t> settled(n, 0);
+  // Relative guard on every float step of the cosine bound_other: each
+  // product, quotient or sum in its update and in the skip test rounds
+  // by at most 2^-53 relative, and no chain between two guard
+  // applications has more than a handful of them, so scaling by
+  // 1 + 2^-40 on every write keeps bound_other a true upper bound in
+  // real arithmetic however many iterations it is carried, and scaling
+  // once more in the test makes the rounded threshold sit at or below
+  // the rounded distance of every other centroid (see the skip test).
+  constexpr double kBoundGuard = 1.0 + 0x1p-40;
+  // The largest of k per-centroid values, and the largest once one
+  // centroid is left out, so a per-point max over c != own is O(1).
+  struct TopTwo {
+    double first = -std::numeric_limits<double>::infinity();
+    double second = -std::numeric_limits<double>::infinity();
+    std::size_t at = std::numeric_limits<std::size_t>::max();
+    void add(std::size_t c, double value) {
+      if (value > first) {
+        second = first;
+        first = value;
+        at = c;
+      } else if (value > second) {
+        second = value;
+      }
+    }
+    double without(std::size_t c) const { return c == at ? second : first; }
+  };
 
   // Update-step partials: one bank of k accumulators per chunk, so the
   // per-cluster accumulation runs without any shared mutable state and
@@ -172,11 +217,14 @@ HvKMeansResult HvKMeans::run_impl(
   result.moved_per_iteration.reserve(config_.iterations);
 
   std::vector<double> distance_to_own(n, 0.0);
-  // Majority-binarized centroids for the Hamming variant; every row is
-  // fully overwritten at the top of each iteration.
+  // Majority-binarized centroids for the Hamming variant, double
+  // buffered: each iteration swaps them and fully overwrites the newer
+  // one, so the older keeps the rows the previous assignment saw.
   hdc::HvBlock binary_centroids;
+  hdc::HvBlock prev_binary_centroids;
   if (config_.distance == ClusterDistance::kHamming) {
     binary_centroids = hdc::HvBlock(dim, k);
+    prev_binary_centroids = hdc::HvBlock(dim, k);
   }
   // Per-iteration snapshots of the centroid state, so the parallel
   // assignment reads plain arrays instead of calling into Accumulator
@@ -190,11 +238,17 @@ HvKMeansResult HvKMeans::run_impl(
   std::vector<hdc::kernels::CountPlanes> centroid_planes(
       config_.distance == ClusterDistance::kCosine ? k : 0);
   std::vector<double> centroid_norm(k);
+  std::vector<double> centroid_inv_norm(k);
   std::vector<std::span<const std::uint64_t>> binary_centroid_rows(k);
+  // The cosine counts and norms the previous assignment saw, for the
+  // drift (Hamming keeps its previous majority rows instead).
+  std::vector<std::int64_t> prev_counts(cosine ? k * dim : 0);
+  std::vector<double> prev_norm(k, 0.0);
 
   for (std::size_t iter = 0; iter < config_.iterations; ++iter) {
     obs::SpanScope iter_span("kmeans_iter", "core", "iter", iter);
     if (config_.distance == ClusterDistance::kHamming) {
+      std::swap(binary_centroids, prev_binary_centroids);
       for (std::size_t c = 0; c < k; ++c) {
         const auto majority = result.centroids[c].to_majority();
         const auto src = majority.words();
@@ -209,6 +263,7 @@ HvKMeansResult HvKMeans::run_impl(
     }
     for (std::size_t c = 0; c < k; ++c) {
       centroid_norm[c] = result.centroids[c].norm();
+      centroid_inv_norm[c] = 1.0 / centroid_norm[c];
     }
     // --- Assignment step (data parallel over 64-point blocks; fused
     // word-span kernels on the block rows, no per-point HyperVector
@@ -219,19 +274,134 @@ HvKMeansResult HvKMeans::run_impl(
     // the full distance row. ---
     AssignCounts assigned;
     {
-      // Both arg slots carry the work split; the iteration number is on
-      // the parent kmeans_iter span.
+      // The three arg slots carry the work split and the settled count,
+      // the label the scan mode; the iteration number is on the parent
+      // kmeans_iter span.
       obs::SpanScope assign_span("kmeans_assign", "core");
-      // Runs `nearest(i, counts)` -> (cluster, distance) over every point
-      // and records the labels, the distances to the own centroid and the
-      // per-block counters.
-      const auto assign_all = [&](const auto& nearest) {
+      // Settle step: runs `settle(i)` -> bool over every point, marks the
+      // settled points and counts each as a skip of all k candidates.
+      std::fill(settled.begin(), settled.end(), std::uint8_t{0});
+      std::fill(block_counts.begin(), block_counts.end(), AssignCounts{});
+      const auto settle_all = [&](const auto& settle) {
         pool.parallel_for(
             0, block_counts.size(),
             [&](std::size_t block) {
               AssignCounts counts;
               const std::size_t end = std::min(n, (block + 1) * kAssignBlock);
               for (std::size_t i = block * kAssignBlock; i < end; ++i) {
+                if (settle(i)) {
+                  settled[i] = 1;
+                  ++counts.skipped;
+                  counts.pruned += k;
+                }
+              }
+              block_counts[block] = counts;
+            },
+            /*grain=*/1);
+      };
+      if (config_.distance == ClusterDistance::kHamming) {
+        // Triangle inequality: a centroid whose majority row moved by
+        // delta_c = hamming(old row, new row) is within delta_c of where
+        // every point last measured it, so the own upper bound grows by
+        // the own delta and the others' lower bound shrinks by their
+        // largest delta. All integers: the test needs no guard.
+        std::vector<std::int64_t> drift(k);
+        TopTwo drift_top;
+        for (std::size_t c = 0; c < k; ++c) {
+          drift[c] = static_cast<std::int64_t>(backend.hamming(
+              prev_binary_centroids.row(c), binary_centroid_rows[c]));
+          drift_top.add(c, static_cast<double>(drift[c]));
+        }
+        if (iter > 0) {
+          settle_all([&](std::size_t i) {
+            const std::uint32_t a = result.assignment[i];
+            bound_own[i] += drift[a];
+            bound_other[i] -= drift_top.without(a);
+            return static_cast<double>(bound_own[i]) < bound_other[i];
+          });
+        }
+      } else {
+        // dot(x, c_new) = dot(x, c_old) + dot(x, c_new - c_old), and the
+        // last term lies within [-min(px * max neg, sum neg),
+        // min(px * max pos, sum pos)] of the count diff's negative and
+        // positive parts. The diff covers rebuilds, delta moves and
+        // reseed mass alike. Zero norms void every bound this iteration.
+        std::vector<std::int64_t> neg_max(k);
+        std::vector<std::int64_t> neg_sum(k);
+        TopTwo norm_ratio;
+        TopTwo pos_max;
+        TopTwo pos_sum;
+        bool usable = iter > 0;
+        for (std::size_t c = 0; c < k; ++c) {
+          const auto counts = result.centroids[c].counts();
+          const auto old = std::span(prev_counts).subspan(c * dim, dim);
+          std::int64_t up_max = 0;
+          std::int64_t up_sum = 0;
+          for (std::size_t d = 0; d < dim; ++d) {
+            const std::int64_t delta = counts[d] - old[d];
+            if (delta > 0) {
+              up_max = std::max(up_max, delta);
+              up_sum += delta;
+            } else {
+              neg_max[c] = std::max(neg_max[c], -delta);
+              neg_sum[c] -= delta;
+            }
+          }
+          std::copy(counts.begin(), counts.end(), old.begin());
+          usable = usable && prev_norm[c] > 0.0 && centroid_norm[c] > 0.0;
+          norm_ratio.add(c, prev_norm[c] * centroid_inv_norm[c]);
+          pos_max.add(c, static_cast<double>(up_max) * centroid_inv_norm[c]);
+          pos_sum.add(c, static_cast<double>(up_sum) * centroid_inv_norm[c]);
+          prev_norm[c] = centroid_norm[c];
+        }
+        if (usable) {
+          settle_all([&](std::size_t i) {
+            const std::uint32_t a = result.assignment[i];
+            const double pn = point_norm[i];
+            const auto px = static_cast<std::int64_t>(point_pop[i]);
+            bound_own[i] -= std::min(px * neg_max[a], neg_sum[a]);
+            bound_other[i] =
+                (bound_other[i] * norm_ratio.without(a) +
+                 std::min(static_cast<double>(px) * pos_max.without(a),
+                          pos_sum.without(a))) *
+                kBoundGuard;
+            // The own distance is at most the shared expression at the
+            // dot's lower bound (it is antitone in the dot). For every
+            // other c, dot_c / (pn * cn_c) <= bound_other / pn, and the
+            // guard covers the roundings on both sides, so the rounded
+            // threshold is at most every other rounded distance: a
+            // strict pass proves the own centroid the unique nearest.
+            return pn > 0.0 &&
+                   hdc::kernels::cosine_distance_from_dot(
+                       bound_own[i], centroid_norm[a], pn) <
+                       1.0 - bound_other[i] * kBoundGuard / pn;
+          });
+        }
+      }
+      for (const AssignCounts& counts : block_counts) {
+        assigned.skipped += counts.skipped;
+      }
+      // A candidate the bounded scan prunes proves only "not below the
+      // best", which leaves no slack for the next iteration's drift.
+      // Once bounds are paying (at least half the points settled; an
+      // integer rule, so the same at every pool size), the remaining
+      // points are scanned with exact distances to all k candidates and
+      // leave exact bounds behind. Otherwise the bounded scan runs.
+      const bool exact = 2 * assigned.skipped >= n;
+
+      // Runs `nearest(i, counts)` -> (cluster, distance) over every
+      // unsettled point and records the labels, the distances to the own
+      // centroid and the per-block counters.
+      const auto assign_all = [&](const auto& nearest) {
+        pool.parallel_for(
+            0, block_counts.size(),
+            [&](std::size_t block) {
+              AssignCounts counts = block_counts[block];
+              const std::size_t end = std::min(n, (block + 1) * kAssignBlock);
+              for (std::size_t i = block * kAssignBlock; i < end; ++i) {
+                if (settled[i] != 0) {
+                  continue;
+                }
                 const auto [cluster, distance] = nearest(i, counts);
                 if (result.assignment[i] != cluster) {
                   ++counts.moved;
@@ -263,6 +433,9 @@ HvKMeansResult HvKMeans::run_impl(
               std::numeric_limits<std::size_t>::max();
           std::size_t best = kUnset;
           std::uint32_t best_cluster = 0;
+          // Negated lower bounds on each candidate's distance, for the
+          // carried lower bound over every candidate but the winner.
+          TopTwo nearest;
           const auto gap_of = [&](std::size_t pc) {
             return pc > px ? pc - px : px - pc;
           };
@@ -284,11 +457,13 @@ HvKMeansResult HvKMeans::run_impl(
             const std::size_t gap = take_left ? gl : gr;
             const std::uint32_t c =
                 take_left ? sorted_pops[l - 1].second : sorted_pops[r].second;
-            if (best != kUnset) {
+            if (!exact && best != kUnset) {
               if (gap > best) {
                 // Everything further out on this side is strictly worse
-                // than best: drop the side wholesale.
+                // than best: drop the side wholesale. None of it is ever
+                // the winner, so one entry at index k bounds it all.
                 counts.pruned += take_left ? l : k - r;
+                nearest.add(k, -static_cast<double>(gap));
                 if (take_left) {
                   l = 0;
                 } else {
@@ -301,6 +476,7 @@ HvKMeansResult HvKMeans::run_impl(
                 // matter for a lower index: cannot win. The side stays
                 // open — a lower index may still follow at the same gap.
                 ++counts.pruned;
+                nearest.add(c, -static_cast<double>(gap));
                 if (take_left) {
                   --l;
                 } else {
@@ -313,10 +489,14 @@ HvKMeansResult HvKMeans::run_impl(
             // +1 when c < best_cluster, which can still win an index tie
             // at exactly best.
             const std::size_t bound =
-                best == kUnset ? kUnset : (c < best_cluster ? best + 1 : best);
+                exact || best == kUnset ? kUnset
+                                        : (c < best_cluster ? best + 1 : best);
             const auto scan =
                 backend.hamming_bounded(binary_centroid_rows[c], point, bound);
             counts.words += scan.words_scanned;
+            // Complete or aborted, the running count never exceeds the
+            // true distance.
+            nearest.add(c, -static_cast<double>(scan.value));
             if (scan.value < bound) {
               // One-sided contract: value < bound means the scan
               // completed and value is the exact distance.
@@ -336,6 +516,8 @@ HvKMeansResult HvKMeans::run_impl(
               ++r;
             }
           }
+          bound_own[i] = static_cast<std::int64_t>(best);
+          bound_other[i] = -nearest.without(best_cluster);
           return std::pair{best_cluster, static_cast<double>(best)};
         });
       } else {
@@ -356,6 +538,11 @@ HvKMeansResult HvKMeans::run_impl(
           const auto px = static_cast<std::int64_t>(point_pop[i]);
           double best = std::numeric_limits<double>::infinity();
           std::uint32_t best_cluster = 0;
+          std::int64_t best_dot = 0;
+          // Upper bounds on each candidate's dot / norm, for the carried
+          // upper bound over every candidate but the winner; a zero norm
+          // gives no bound.
+          TopTwo nearest;
           // Index order with strict < updates gives the lowest-index
           // argmin; every skip below only drops candidates whose
           // distance provably fails `dist < best`.
@@ -364,6 +551,7 @@ HvKMeansResult HvKMeans::run_impl(
             if (cn == 0.0 || pn == 0.0) {
               // Zero-norm shortcut, exactly cosine_distance_planes'.
               ++counts.evals;
+              nearest.add(c, std::numeric_limits<double>::infinity());
               if (1.0 < best) {
                 best = 1.0;
                 best_cluster = static_cast<std::uint32_t>(c);
@@ -371,7 +559,7 @@ HvKMeansResult HvKMeans::run_impl(
               continue;
             }
             const bool have_best =
-                best < std::numeric_limits<double>::infinity();
+                !exact && best < std::numeric_limits<double>::infinity();
             if (have_best) {
               // Cheap exact skip: evaluate the shared float expression at
               // a dot that can only be larger than the true one — the
@@ -386,6 +574,8 @@ HvKMeansResult HvKMeans::run_impl(
               if (hdc::kernels::cosine_distance_from_dot(upper, cn, pn) >=
                   best) {
                 ++counts.pruned;
+                nearest.add(c,
+                            static_cast<double>(upper) * centroid_inv_norm[c]);
                 continue;
               }
             }
@@ -420,17 +610,24 @@ HvKMeansResult HvKMeans::run_impl(
               // True dot <= max_useful, so its distance >= best: c
               // cannot win.
               ++counts.pruned;
+              nearest.add(c, static_cast<double>(max_useful) *
+                                 centroid_inv_norm[c]);
               continue;
             }
             ++counts.evals;
             ++counts.kernel_evals;
+            nearest.add(c,
+                        static_cast<double>(scan.dot) * centroid_inv_norm[c]);
             const double dist =
                 hdc::kernels::cosine_distance_from_dot(scan.dot, cn, pn);
             if (dist < best) {
               best = dist;
               best_cluster = static_cast<std::uint32_t>(c);
+              best_dot = scan.dot;
             }
           }
+          bound_own[i] = best_dot;
+          bound_other[i] = nearest.without(best_cluster) * kBoundGuard;
           return std::pair{best_cluster, best};
         });
       }
@@ -447,6 +644,8 @@ HvKMeansResult HvKMeans::run_impl(
       result.ops.words_scanned += assigned.words;
       assign_span.arg("evaluated", assigned.evals);
       assign_span.arg("pruned", assigned.pruned);
+      assign_span.arg("skipped", assigned.skipped);
+      assign_span.label("rescan", exact ? "exact" : "pruned");
     }
 
     // --- Update step. Centroids persist across iterations as exact
@@ -533,9 +732,36 @@ HvKMeansResult HvKMeans::run_impl(
     // --- Empty-cluster repair: reseed with the point farthest from its
     // own centroid (deterministic: highest distance, lowest index). ---
     const std::size_t reseeds_before = result.reseeds;
+    bool distances_fresh = assigned.skipped == 0;
     for (std::size_t c = 0; c < k; ++c) {
       if (result.cluster_weights[c] != 0) {
         continue;
+      }
+      if (!distances_fresh) {
+        // A settled point's distance_to_own dates from the assignment
+        // that last scanned it: refresh it exactly against the snapshot
+        // this iteration assigned with, which the centroid planes and
+        // majority rows still hold.
+        for (std::size_t i = 0; i < n; ++i) {
+          if (settled[i] == 0) {
+            continue;
+          }
+          const std::uint32_t a = result.assignment[i];
+          if (cosine) {
+            const auto scan = hdc::kernels::dot_planes_bounded(
+                centroid_planes[a], points.row(i), point_pop[i], -1, backend);
+            result.ops.words_scanned += scan.words_scanned;
+            distance_to_own[i] = hdc::kernels::cosine_distance_from_dot(
+                scan.dot, centroid_norm[a], point_norm[i]);
+          } else {
+            const auto scan = backend.hamming_bounded(
+                binary_centroid_rows[a], points.row(i),
+                std::numeric_limits<std::size_t>::max());
+            result.ops.words_scanned += scan.words_scanned;
+            distance_to_own[i] = static_cast<double>(scan.value);
+          }
+        }
+        distances_fresh = true;
       }
       std::size_t farthest = 0;
       double farthest_distance = -1.0;
@@ -558,6 +784,9 @@ HvKMeansResult HvKMeans::run_impl(
       result.cluster_weights[c] += weight_of(farthest);
       result.cluster_weights[old_cluster] -= weight_of(farthest);
       pending_reseed_subs.emplace_back(farthest, old_cluster);
+      // The label changed outside the assignment: the point's bounds
+      // describe its old cluster and must not settle it.
+      bound_other[farthest] = no_bound;
       ++result.reseeds;
     }
     result.iterations_run = iter + 1;

@@ -30,7 +30,19 @@
 // (per-centroid norm bounds, plus early-exit bounded kernels that abort
 // a scan once the running distance loses to the best so far) — EXACT
 // pruning only, ties still broken by the lowest index, so every label is
-// the lowest-index argmin of the full distance row, at every K.
+// the lowest-index argmin of the full distance row, at every K; (5)
+// every point carries two bounds across iterations (Hamerly's O(n)
+// scheme): one on its own centroid, one over all the others. Each
+// assignment first loosens them by every centroid's exact drift since
+// the previous one (integer count diffs for cosine, the Hamming
+// distance between old and new majority rows for Hamming), and a point
+// whose bounds still prove its own centroid the strict unique nearest
+// keeps its label without a scan. When at least half the points settle
+// that way, the rest are scanned with exact distances to all K
+// centroids, so they leave exact bounds behind; otherwise they run the
+// pruned scan of (4). A reseeded point's bounds are dropped, and before
+// a reseed's farthest-point search the settled points' own distances
+// are computed exactly.
 #ifndef SEGHDC_CORE_KMEANS_HPP
 #define SEGHDC_CORE_KMEANS_HPP
 
@@ -79,11 +91,13 @@ struct HvKMeansResult {
   std::size_t reseeds = 0;
   /// Work performed. Assignment accounting is measured, not assumed:
   /// `distance_evals` counts pairs whose exact distance was computed,
-  /// `candidates_pruned` counts pairs skipped by norm bounds or aborted
-  /// bounded-kernel scans (evals + pruned == points * clusters per
+  /// `candidates_pruned` counts pairs skipped by norm bounds, aborted
+  /// bounded-kernel scans or carried bounds (a settled point counts all
+  /// `clusters` pairs; evals + pruned == points * clusters per
   /// iteration), `dot_adds` adds `dim` per evaluated distance whose
   /// dot/scan actually ran, and `words_scanned` counts the words the
-  /// assignment kernels actually streamed, partial scans included.
+  /// assignment kernels actually streamed, partial scans included, plus
+  /// the settled points' own-centroid distances a reseed recomputes.
   /// `centroid_update_adds` is measured too: `dim` per row the update
   /// step added or subtracted — n rows for a rebuild, two per moved
   /// point plus one per queued reseed subtract for a delta update.

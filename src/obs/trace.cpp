@@ -182,6 +182,11 @@ void write_trace_json(std::ostream& out, const std::vector<TraceEvent>& events,
             << "\":" << event.arg2_value;
         separator = ",";
       }
+      if (event.arg3_key != nullptr) {
+        out << separator << "\"" << event.arg3_key
+            << "\":" << event.arg3_value;
+        separator = ",";
+      }
       if (event.label_key != nullptr) {
         out << separator << "\"" << event.label_key << "\":\""
             << event.label_value << "\"";

@@ -56,6 +56,8 @@ struct TraceEvent {
   std::uint64_t arg1_value = 0;
   const char* arg2_key = nullptr;
   std::uint64_t arg2_value = 0;
+  const char* arg3_key = nullptr;
+  std::uint64_t arg3_value = 0;
   /// One string-valued arg (both pointers string literals), for a
   /// decision that reads as a word rather than a number.
   const char* label_key = nullptr;
@@ -146,8 +148,8 @@ class SpanScope {
     }
   }
 
-  /// Attaches an integer arg (first free of the two slots; further args
-  /// are silently ignored). Callable any time before destruction, so a
+  /// Attaches an integer arg (first free of the three slots; further
+  /// args are silently ignored). Callable any time before destruction, so a
   /// span can record a decision it learned mid-scope.
   void arg(const char* key, std::uint64_t value) {
     if (!active_) {
@@ -159,6 +161,9 @@ class SpanScope {
     } else if (event_.arg2_key == nullptr) {
       event_.arg2_key = key;
       event_.arg2_value = value;
+    } else if (event_.arg3_key == nullptr) {
+      event_.arg3_key = key;
+      event_.arg3_value = value;
     }
   }
 

@@ -215,6 +215,47 @@ std::vector<hdc::HyperVector> make_clustered_points(std::size_t count,
   return points;
 }
 
+/// `families` anchors as in make_clustered_points, then `count` points
+/// that each mix two neighbouring anchors bit by bit at a random ratio,
+/// plus ~2% flipped bits: a continuum between the families rather than
+/// tight clusters, so K-Means keeps moving points for many iterations
+/// while most of them settle early.
+std::vector<hdc::HyperVector> make_mixed_points(std::size_t count,
+                                                std::size_t dim,
+                                                std::size_t families,
+                                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<hdc::HyperVector> anchors;
+  for (std::size_t f = 0; f < families; ++f) {
+    hdc::HyperVector anchor(dim);
+    const std::uint64_t threshold =
+        (1u << 14) + (f * (1u << 15)) / (families - 1);
+    for (std::size_t i = 0; i < dim; ++i) {
+      if ((rng() & 0xFFFF) < threshold) {
+        anchor.flip(i);
+      }
+    }
+    anchors.push_back(anchor);
+  }
+  std::vector<hdc::HyperVector> points;
+  for (std::size_t j = 0; j < count; ++j) {
+    const auto& a = anchors[j % families];
+    const auto& b = anchors[(j + 1) % families];
+    const std::uint64_t ratio = rng() & 0xFFFF;
+    hdc::HyperVector point(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      if ((rng() & 0xFFFF) < ratio ? a.get(i) : b.get(i)) {
+        point.flip(i);
+      }
+    }
+    for (std::size_t f = 0; f < dim / 50; ++f) {
+      point.flip(rng.next_below(dim));
+    }
+    points.push_back(point);
+  }
+  return points;
+}
+
 std::vector<std::size_t> first_n_seeds(std::size_t k) {
   std::vector<std::size_t> seeds(k);
   for (std::size_t c = 0; c < k; ++c) {
@@ -373,6 +414,286 @@ TEST(PrunedAssignment, TieBreakAdversarialCoincidentCentroidsMatchOracle) {
 }
 
 // ---------------------------------------------------------------------
+// Carried bounds: a settled point keeps its label without a scan, so
+// that label must be exactly the one the scan would have given, and a
+// reseed must neither settle on stale bounds nor read stale distances.
+
+/// One seeded small, reseed-heavy case: n in [20, 80), dim in
+/// {64, 128, 192, 256}, 2-7 random anchor families with dim/8 flips per
+/// point, K in [2, 21).
+struct SweepCase {
+  std::vector<hdc::HyperVector> points;
+  std::size_t k = 0;
+};
+
+SweepCase make_sweep_case(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::size_t n = 20 + rng.next_below(60);
+  const std::size_t dim = 64 * (1 + rng.next_below(4));
+  const std::size_t families = 2 + rng.next_below(6);
+  std::vector<hdc::HyperVector> anchors;
+  for (std::size_t f = 0; f < families; ++f) {
+    anchors.push_back(hdc::HyperVector::random(dim, rng));
+  }
+  SweepCase sweep;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto point = anchors[rng.next_below(families)];
+    for (std::size_t f = 0; f < dim / 8; ++f) {
+      point.flip(rng.next_below(dim));
+    }
+    sweep.points.push_back(point);
+  }
+  sweep.k = 2 + rng.next_below(19);
+  return sweep;
+}
+
+/// What one kmeans_assign span reports about its pass.
+struct AssignPass {
+  std::uint64_t evaluated = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t skipped = 0;
+  std::string rescan;
+};
+
+/// The assignment passes a traced run recorded, in order.
+std::vector<AssignPass> assign_passes(const obs::TraceSession& trace) {
+  std::vector<AssignPass> passes;
+  for (const auto& event : trace.events()) {
+    if (std::string_view(event.name) != "kmeans_assign") {
+      continue;
+    }
+    EXPECT_STREQ(event.arg1_key, "evaluated");
+    EXPECT_STREQ(event.arg2_key, "pruned");
+    EXPECT_STREQ(event.arg3_key, "skipped");
+    EXPECT_STREQ(event.label_key, "rescan");
+    passes.push_back({event.arg1_value, event.arg2_value, event.arg3_value,
+                      event.label_value != nullptr ? event.label_value : ""});
+  }
+  return passes;
+}
+
+void fnv1a_fold(std::uint64_t& hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xFFu;
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+/// FNV-1a over labels, cluster weights, centroid counts and total
+/// weights, and reseeds (test_kmeans.cpp's kmeans_state_hash).
+std::uint64_t kmeans_state_hash(const HvKMeansResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto label : result.assignment) {
+    fnv1a_fold(hash, label);
+  }
+  for (const auto weight : result.cluster_weights) {
+    fnv1a_fold(hash, weight);
+  }
+  for (const auto& centroid : result.centroids) {
+    for (const auto count : centroid.counts()) {
+      fnv1a_fold(hash, static_cast<std::uint64_t>(count));
+    }
+    fnv1a_fold(hash, centroid.total_weight());
+  }
+  fnv1a_fold(hash, result.reseeds);
+  return hash;
+}
+
+TEST(CarriedBounds, MovingPointsMatchArgminOracleAcrossBackendsPoolsAndK) {
+  const BackendSelectionGuard guard;
+  // Points keep moving for at least four iterations at every K, while
+  // most of them settle from iteration 2 on: every settled label must
+  // be the oracle's.
+  const auto points = make_mixed_points(300, 1000, 8, 23);
+  std::size_t exact_passes = 0;
+  std::size_t pruned_passes = 0;
+  for (const auto* backend : hdc::simd::registered_backends()) {
+    if (!backend->available()) {
+      continue;
+    }
+    hdc::simd::force_backend(backend->name);
+    for (const auto distance :
+         {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
+      for (const std::size_t k : {2u, 5u, 16u}) {
+        SCOPED_TRACE(std::string(backend->name) +
+                     (distance == ClusterDistance::kCosine ? " cosine"
+                                                           : " hamming") +
+                     " k " + std::to_string(k));
+        util::ThreadPool serial(1);
+        HvKMeansConfig config{
+            .clusters = k, .iterations = 12, .distance = distance};
+        config.pool = &serial;
+        const auto seeds = first_n_seeds(k);
+        const auto reference = run_checked_by_oracle(config, points, seeds);
+        EXPECT_GE(std::ranges::count_if(reference.moved_per_iteration,
+                                        [](std::uint64_t m) { return m > 0; }),
+                  4);
+
+        const obs::TraceSession trace;
+        expect_kmeans_results_identical(
+            reference, HvKMeans(config).run(points, {}, seeds));
+        const auto passes = assign_passes(trace);
+        ASSERT_EQ(passes.size(), reference.iterations_run);
+        EXPECT_EQ(passes[0].skipped, 0u) << "iteration 0 has no bounds";
+        std::uint64_t late_skipped = 0;
+        for (std::size_t t = 0; t < passes.size(); ++t) {
+          if (t >= 2) {
+            late_skipped += passes[t].skipped;
+          }
+          // The rescan rule: exact exactly when half the points settled.
+          EXPECT_EQ(passes[t].rescan == "exact",
+                    2 * passes[t].skipped >= points.size())
+              << "iteration " << t;
+          ++(passes[t].rescan == "exact" ? exact_passes : pruned_passes);
+        }
+        EXPECT_GT(late_skipped, 0u) << "no point settled after iteration 1";
+
+        for (const std::size_t threads : {2u, 4u}) {
+          SCOPED_TRACE("threads " + std::to_string(threads));
+          util::ThreadPool pool(threads);
+          config.pool = &pool;
+          expect_kmeans_results_identical(
+              reference, HvKMeans(config).run(points, {}, seeds));
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact_passes, 0u);
+  EXPECT_GT(pruned_passes, 0u);
+}
+
+TEST(CarriedBounds, NearTiesMatchArgminOracle) {
+  // Mirror-symmetric data: every point's mirror image (its two halves
+  // swapped) is a point too, a quarter of the points are their own
+  // mirror image up to one flipped bit, and the seeds are a mirror
+  // pair. The symmetric points sit exactly on, or one dot unit off, the
+  // boundary between mirror centroids, so the skip test meets the
+  // smallest margins integer dots allow; each label must still be the
+  // oracle's, ties to the lowest index.
+  constexpr std::size_t kDim = 1024;
+  constexpr std::size_t kHalf = kDim / 2;
+  util::Rng rng(41);
+  const auto anchor = hdc::HyperVector::random(kDim, rng);
+  const auto mirror = [&](const hdc::HyperVector& hv) {
+    hdc::HyperVector out(kDim);
+    for (std::size_t i = 0; i < kDim; ++i) {
+      if (hv.get((i + kHalf) % kDim)) {
+        out.flip(i);
+      }
+    }
+    return out;
+  };
+  std::vector<hdc::HyperVector> points;
+  for (std::size_t j = 0; j < 60; ++j) {
+    auto point = anchor;
+    for (std::size_t f = 0; f < kDim / 6; ++f) {
+      point.flip(rng.next_below(kDim));
+    }
+    points.push_back(point);
+    points.push_back(mirror(point));
+    if (j % 2 == 0) {
+      hdc::HyperVector symmetric = hdc::HyperVector::random(kDim, rng);
+      for (std::size_t i = 0; i < kHalf; ++i) {
+        if (symmetric.get(i) != symmetric.get(i + kHalf)) {
+          symmetric.flip(i + kHalf);
+        }
+      }
+      if (j % 4 == 0) {
+        symmetric.flip(rng.next_below(kDim));
+      }
+      points.push_back(symmetric);
+    }
+  }
+  for (const auto distance :
+       {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
+    SCOPED_TRACE(distance == ClusterDistance::kCosine ? "cosine" : "hamming");
+    util::ThreadPool serial(1);
+    HvKMeansConfig config{
+        .clusters = 2, .iterations = 10, .distance = distance};
+    config.pool = &serial;
+    const std::vector<std::size_t> seeds{0, 1};
+    const auto reference = run_checked_by_oracle(config, points, seeds);
+    const obs::TraceSession trace;
+    expect_kmeans_results_identical(reference,
+                                    HvKMeans(config).run(points, {}, seeds));
+    std::uint64_t skipped = 0;
+    for (const auto& pass : assign_passes(trace)) {
+      skipped += pass.skipped;
+    }
+    EXPECT_GT(skipped, 0u) << "no point settled, so no skip test ran";
+  }
+}
+
+TEST(CarriedBounds, ReseededPointIsRescannedNotSettled) {
+  // Four identical points of popcount 256, so every norm is an exact
+  // square root and every distance below is exactly 0, seeded twice.
+  // Every assignment puts all four in cluster 0 (the index tie-break),
+  // every reseed moves point 0 into the empty cluster 1, and every next
+  // assignment moves it back. From iteration 2 on, point 0's carried
+  // bounds describe cluster 0's four-fold sum and would settle it in
+  // cluster 1; only the reseed's invalidation makes it rescan.
+  hdc::HyperVector x(512);
+  for (std::size_t i = 0; i < 256; ++i) {
+    x.flip(2 * i);
+  }
+  const std::vector<hdc::HyperVector> points(4, x);
+  for (const auto distance :
+       {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
+    SCOPED_TRACE(distance == ClusterDistance::kCosine ? "cosine" : "hamming");
+    util::ThreadPool serial(1);
+    HvKMeansConfig config{.clusters = 2, .iterations = 6, .distance = distance};
+    config.pool = &serial;
+    const auto result = run_checked_by_oracle(config, points, {0, 1});
+    EXPECT_EQ(result.reseeds, 6u);
+    EXPECT_FALSE(result.converged);
+    EXPECT_EQ(result.moved_per_iteration,
+              (std::vector<std::uint64_t>{0, 1, 1, 1, 1, 1}));
+  }
+}
+
+TEST(CarriedBounds, SettleAndReseedInOneIterationMatchPinnedState) {
+  // Sweep case 287 under Hamming (n 63, dim 128, K 4): iteration 2
+  // settles points and reseeds an empty cluster, so the farthest-point
+  // search must see exact own distances for the settled points too. The
+  // state hash, reseeds and iterations were recorded before the
+  // assignment carried any bounds.
+  const auto [points, k] = make_sweep_case(287);
+  const auto seeds = first_n_seeds(k);
+  HvKMeansConfig config{.clusters = k,
+                        .iterations = 40,
+                        .distance = ClusterDistance::kHamming};
+  util::ThreadPool serial(1);
+  config.pool = &serial;
+  std::vector<std::size_t> reseeds_at{0};
+  for (std::size_t budget = 1; budget <= 4; ++budget) {
+    config.iterations = budget;
+    reseeds_at.push_back(HvKMeans(config).run(points, {}, seeds).reseeds);
+  }
+  config.iterations = 40;
+  const obs::TraceSession trace;
+  const auto result = HvKMeans(config).run(points, {}, seeds);
+  const auto passes = assign_passes(trace);
+  ASSERT_EQ(passes.size(), 4u);
+  std::size_t both = 0;
+  for (std::size_t t = 0; t < passes.size(); ++t) {
+    if (passes[t].skipped > 0 && reseeds_at[t + 1] > reseeds_at[t]) {
+      ++both;
+    }
+  }
+  EXPECT_GT(both, 0u) << "no iteration both settles points and reseeds";
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    config.pool = &pool;
+    const auto again = HvKMeans(config).run(points, {}, seeds);
+    EXPECT_EQ(kmeans_state_hash(again), 4058732782747682178ULL);
+    EXPECT_EQ(again.reseeds, 1u);
+    EXPECT_EQ(again.iterations_run, 4u);
+    expect_kmeans_results_identical(result, again);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Fixed-point exit: a run stops at the first iteration that moves no
 // point, applies no queued reseed subtract, and reseeds nothing — and
 // only there, so a converged run is a true fixed point.
@@ -388,29 +709,14 @@ TEST(FixedPointExit, ConvergedRunsAreExactFixedPointsAcrossASeededSweep) {
   std::size_t converged = 0;
   std::size_t zero_move_after_reseed = 0;
   for (std::uint64_t seed = 0; seed < kSweep; ++seed) {
-    util::Rng rng(seed);
-    const std::size_t n = 20 + rng.next_below(60);
-    const std::size_t dim = 64 * (1 + rng.next_below(4));
-    const std::size_t families = 2 + rng.next_below(6);
-    std::vector<hdc::HyperVector> anchors;
-    for (std::size_t f = 0; f < families; ++f) {
-      anchors.push_back(hdc::HyperVector::random(dim, rng));
-    }
-    std::vector<hdc::HyperVector> points;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto point = anchors[rng.next_below(families)];
-      for (std::size_t f = 0; f < dim / 8; ++f) {
-        point.flip(rng.next_below(dim));
-      }
-      points.push_back(point);
-    }
-    const std::size_t k = 2 + rng.next_below(19);
+    const auto [points, k] = make_sweep_case(seed);
     const auto seeds = first_n_seeds(k);
     for (const auto distance :
          {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " n " +
-                   std::to_string(n) + " dim " + std::to_string(dim) +
-                   " k " + std::to_string(k) +
+                   std::to_string(points.size()) + " dim " +
+                   std::to_string(points.front().dim()) + " k " +
+                   std::to_string(k) +
                    (distance == ClusterDistance::kCosine ? " cosine"
                                                          : " hamming"));
       HvKMeansConfig config{
@@ -459,82 +765,101 @@ TEST(FixedPointExit, ConvergedRunsAreExactFixedPointsAcrossASeededSweep) {
 // conservation law, identically at every pool size.
 
 TEST(PrunedAssignment, OpsAccountingConservationAtEveryKAndPool) {
-  const auto points = make_points(40, 512, 31);
-  const std::uint64_t n = points.size();
-  constexpr std::uint64_t kDim = 512;
-  constexpr std::uint64_t kWords = kDim / 64;
-  for (const auto distance :
-       {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
-    for (const std::size_t k : {2u, 16u}) {
-      SCOPED_TRACE(std::string(distance == ClusterDistance::kCosine
-                                   ? "cosine"
-                                   : "hamming") +
-                   " k " + std::to_string(k));
-      util::ThreadPool serial(1);
-      HvKMeansConfig config{
-          .clusters = k, .iterations = 5, .distance = distance};
-      config.pool = &serial;
-      const auto seeds = first_n_seeds(k);
-      const auto reference = HvKMeans(config).run(points, {}, seeds);
-      const std::uint64_t pairs = n * k * reference.iterations_run;
-      // Conservation: every (point, centroid) pair per iteration is
-      // either evaluated or pruned, never both, never dropped.
-      EXPECT_EQ(reference.ops.distance_evals + reference.ops.candidates_pruned,
-                pairs);
-      // A dot or scan runs only for evaluated pairs, and never streams
-      // more than the full rows.
-      EXPECT_LE(reference.ops.dot_adds, reference.ops.distance_evals * kDim);
-      EXPECT_GT(reference.ops.words_scanned, 0u);
-      if (distance == ClusterDistance::kHamming) {
-        EXPECT_EQ(reference.ops.dot_adds, reference.ops.distance_evals * kDim);
-        EXPECT_LE(reference.ops.words_scanned, pairs * kWords);
-      }
+  // Random points settle almost nothing; the mixed points settle most
+  // of themselves from iteration 2 on, and a settled point counts as K
+  // pruned pairs with no words scanned.
+  const std::vector<std::pair<std::string, std::vector<hdc::HyperVector>>>
+      datasets{{"random", make_points(40, 512, 31)},
+               {"mixed", make_mixed_points(300, 1000, 8, 23)}};
+  for (const auto& [name, points] : datasets) {
+    const std::uint64_t n = points.size();
+    const std::uint64_t dim = points.front().dim();
+    const std::uint64_t words = (dim + 63) / 64;
+    for (const auto distance :
+         {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
+      for (const std::size_t k : {2u, 16u}) {
+        SCOPED_TRACE(name +
+                     (distance == ClusterDistance::kCosine ? " cosine"
+                                                           : " hamming") +
+                     " k " + std::to_string(k));
+        util::ThreadPool serial(1);
+        HvKMeansConfig config{
+            .clusters = k, .iterations = 8, .distance = distance};
+        config.pool = &serial;
+        const auto seeds = first_n_seeds(k);
+        const obs::TraceSession trace;
+        const auto reference = HvKMeans(config).run(points, {}, seeds);
+        const std::uint64_t pairs = n * k * reference.iterations_run;
+        // Conservation: every (point, centroid) pair per iteration is
+        // either evaluated or pruned, never both, never dropped.
+        EXPECT_EQ(
+            reference.ops.distance_evals + reference.ops.candidates_pruned,
+            pairs);
+        std::uint64_t skipped = 0;
+        for (const auto& pass : assign_passes(trace)) {
+          EXPECT_EQ(pass.evaluated + pass.pruned, n * k);
+          EXPECT_GE(pass.pruned, pass.skipped * k);
+          skipped += pass.skipped;
+        }
+        if (name == "mixed") {
+          EXPECT_GT(skipped, 0u) << "no point settled";
+        }
+        // A dot or scan runs only for evaluated pairs, and never streams
+        // more than the full rows, settled points included.
+        EXPECT_LE(reference.ops.dot_adds, reference.ops.distance_evals * dim);
+        EXPECT_GT(reference.ops.words_scanned, 0u);
+        if (distance == ClusterDistance::kHamming) {
+          EXPECT_EQ(reference.ops.dot_adds, reference.ops.distance_evals * dim);
+          EXPECT_LE(reference.ops.words_scanned,
+                    (pairs - skipped * k) * words);
+        }
 
-      // The per-block counters fold to the same totals at every pool
-      // size.
-      for (const std::size_t threads : {2u, 4u}) {
-        util::ThreadPool pool(threads);
-        config.pool = &pool;
-        const auto again = HvKMeans(config).run(points, {}, seeds);
-        expect_kmeans_results_identical(reference, again);
-        EXPECT_EQ(again.ops.distance_evals, reference.ops.distance_evals)
-            << "threads " << threads;
-        EXPECT_EQ(again.ops.candidates_pruned,
-                  reference.ops.candidates_pruned)
-            << "threads " << threads;
-        EXPECT_EQ(again.ops.dot_adds, reference.ops.dot_adds)
-            << "threads " << threads;
-        EXPECT_EQ(again.ops.words_scanned, reference.ops.words_scanned)
-            << "threads " << threads;
+        // The per-block counters fold to the same totals at every pool
+        // size.
+        for (const std::size_t threads : {2u, 4u}) {
+          util::ThreadPool pool(threads);
+          config.pool = &pool;
+          const auto again = HvKMeans(config).run(points, {}, seeds);
+          expect_kmeans_results_identical(reference, again);
+          EXPECT_EQ(again.ops.distance_evals, reference.ops.distance_evals)
+              << "threads " << threads;
+          EXPECT_EQ(again.ops.candidates_pruned,
+                    reference.ops.candidates_pruned)
+              << "threads " << threads;
+          EXPECT_EQ(again.ops.dot_adds, reference.ops.dot_adds)
+              << "threads " << threads;
+          EXPECT_EQ(again.ops.words_scanned, reference.ops.words_scanned)
+              << "threads " << threads;
+        }
       }
     }
   }
 }
 
 TEST(PrunedAssignment, AssignSpansCarryEvaluatedAndPrunedCounts) {
-  // Every kmeans_assign span reports the pass's work split in its two
-  // arg slots, and the split conserves the n * K pairs of one pass.
-  const auto points = make_points(40, 512, 31);
-  const std::uint64_t n = points.size();
-  constexpr std::size_t kClusters = 16;
-  const HvKMeansConfig config{.clusters = kClusters, .iterations = 5};
-  const obs::TraceSession trace;
-  const auto result =
-      HvKMeans(config).run(points, {}, first_n_seeds(kClusters));
-  std::size_t spans = 0;
-  std::uint64_t pruned_total = 0;
-  for (const auto& event : trace.events()) {
-    if (std::string_view(event.name) != "kmeans_assign") {
-      continue;
+  // Every kmeans_assign span reports the pass's work split and its
+  // settled points in its three arg slots and the scan mode in its
+  // label; the split conserves the n * K pairs of one pass, and the
+  // mode follows the rescan rule.
+  for (const auto& points :
+       {make_points(40, 512, 31), make_mixed_points(300, 1000, 8, 23)}) {
+    const std::uint64_t n = points.size();
+    constexpr std::size_t kClusters = 16;
+    const HvKMeansConfig config{.clusters = kClusters, .iterations = 8};
+    const obs::TraceSession trace;
+    const auto result =
+        HvKMeans(config).run(points, {}, first_n_seeds(kClusters));
+    const auto passes = assign_passes(trace);
+    EXPECT_EQ(passes.size(), result.iterations_run);
+    std::uint64_t pruned_total = 0;
+    for (const auto& pass : passes) {
+      EXPECT_EQ(pass.evaluated + pass.pruned, n * kClusters);
+      EXPECT_GE(pass.pruned, pass.skipped * kClusters);
+      EXPECT_EQ(pass.rescan, 2 * pass.skipped >= n ? "exact" : "pruned");
+      pruned_total += pass.pruned;
     }
-    ++spans;
-    EXPECT_STREQ(event.arg1_key, "evaluated");
-    EXPECT_STREQ(event.arg2_key, "pruned");
-    EXPECT_EQ(event.arg1_value + event.arg2_value, n * kClusters);
-    pruned_total += event.arg2_value;
+    EXPECT_EQ(pruned_total, result.ops.candidates_pruned);
   }
-  EXPECT_EQ(spans, result.iterations_run);
-  EXPECT_EQ(pruned_total, result.ops.candidates_pruned);
 }
 
 }  // namespace

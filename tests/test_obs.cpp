@@ -58,7 +58,8 @@ TEST(Trace, SpanScopesNestAndCarryArgs) {
       obs::SpanScope inner("inner", "test");
       inner.arg("band", 3);
       inner.arg("reused", 1);
-      inner.arg("ignored", 9);  // both slots taken: silently dropped
+      inner.arg("skipped", 4);
+      inner.arg("ignored", 9);  // all three slots taken: silently dropped
     }
   }
   const auto events = session.events();
@@ -75,6 +76,8 @@ TEST(Trace, SpanScopesNestAndCarryArgs) {
   EXPECT_EQ(inner.arg1_value, 3u);
   EXPECT_STREQ(inner.arg2_key, "reused");
   EXPECT_EQ(inner.arg2_value, 1u);
+  EXPECT_STREQ(inner.arg3_key, "skipped");
+  EXPECT_EQ(inner.arg3_value, 4u);
   // Proper nesting: the inner span starts no earlier and ends no later.
   EXPECT_GE(inner.start_ns, outer.start_ns);
   EXPECT_LE(inner.start_ns + inner.dur_ns, outer.start_ns + outer.dur_ns);
