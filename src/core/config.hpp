@@ -109,11 +109,6 @@ struct SegHdcConfig {
   FlipUnitBasis flip_unit_basis = FlipUnitBasis::kRows;
   /// Clustering distance (paper: cosine, Eq. 7).
   ClusterDistance cluster_distance = ClusterDistance::kCosine;
-  /// Deduplicate pixels sharing (position block, color) before
-  /// clustering. Exactly equivalent to per-pixel clustering (weighted
-  /// centroids), orders of magnitude faster. Disable only to measure the
-  /// naive cost.
-  bool deduplicate = true;
   /// Drops this many low bits of every channel value before encoding
   /// (0 = encode exact colors, the paper's setting). Quantisation
   /// collapses sensor noise into shared dedup keys, trading a little

@@ -112,13 +112,21 @@ struct UniqueRef {
 /// The dedup table of one row band: per local unique point, in the
 /// band's row-major first-occurrence order, its key, ref, and pixel
 /// weight. `remap` (local id -> global id) is filled by `merge_bands`.
-/// Reused across images (cleared, capacity retained).
+/// Reused across images (cleared, capacity retained). A stream band also
+/// keeps its pixel-byte hash and its pixels' band-local ids, so an
+/// unchanged band skips the scan on the next frame: the table is a pure
+/// function of the band's bytes.
 struct Band {
   std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
   std::vector<std::uint64_t> keys;
   std::vector<UniqueRef> refs;
   std::vector<std::uint32_t> weights;
   std::vector<std::uint32_t> remap;
+  std::uint64_t hash = 0;
+  /// False until the band's scan has finished (a throw mid-scan must not
+  /// leave a half-built table eligible for reuse).
+  bool valid = false;
+  std::vector<std::uint32_t> local_ids;  // per band pixel (streams only)
 };
 
 /// Where a merged unique point first occurred: band and band-local id.
@@ -181,8 +189,7 @@ void scan_band(const img::ImageU8& image, const PositionEncoder& position,
 /// `remap`, the first-occurrence `origin` and summed pixel `weights` of
 /// every global unique. Work is O(sum of band unique counts), not
 /// O(pixels).
-template <typename BandT>
-void merge_bands(std::span<BandT> bands, std::size_t expected,
+void merge_bands(std::span<Band> bands, std::size_t expected,
                  std::unordered_map<std::uint64_t, std::uint32_t>&
                      key_to_unique,
                  std::vector<Origin>& origin,
@@ -312,7 +319,7 @@ struct SegHdcSession::EncodeScratch {
   std::vector<Band> tiles;
   std::unordered_map<std::uint64_t, std::uint32_t> key_to_unique;
   std::vector<Origin> origin;
-  /// Global unique refs of the multi-band and no-dedup encodes.
+  /// Global unique refs of the multi-band encode.
   std::vector<UniqueRef> refs;
   /// Unique ratio (unique points / pixels) observed on the previous
   /// image through this arena; seeds the dedup-map reserves so low-dedup
@@ -344,34 +351,18 @@ struct SegHdcSession::EncodeScratch {
   }
 };
 
-/// Temporal cache for one ordered frame stream. Per row band (the tile
-/// layout, pinned per geometry when the stream starts): the band's
-/// pixel-byte hash, its dedup table and band-local pixel ids, and its
-/// bound pixel HVs. Band-local encode outputs are
-/// pure functions of the dedup keys — the position HV depends only on
-/// the block indices and the color HV only on the quantised color — so
-/// an unchanged band's cache IS its re-encode, bit for bit. Plus the
-/// whole-stream state: the previous frame (reuse baseline + replay
-/// trigger), the previous result (replay payload), and the previous
-/// centroids' majority snapshots (warm K-Means seeds).
+/// Temporal cache for one ordered frame stream: the band layout (pinned
+/// per geometry when the stream starts), whose bands in `scratch.tiles`
+/// keep their dedup tables between frames, and the whole-stream state:
+/// the previous frame (band reuse baseline + replay trigger), the
+/// previous result (replay payload), and the previous centroids'
+/// majority snapshots (warm K-Means seeds).
 struct SegHdcSession::StreamState {
-  struct BandCache : Band {
-    std::uint64_t hash = 0;
-    /// False until the band's dedup table AND HVs are fully built (a
-    /// throw mid-rebuild must not leave a half-cache eligible for
-    /// reuse).
-    bool valid = false;
-    std::vector<std::uint8_t> intensities;  // per local unique
-    hdc::HvBlock hvs;                       // per local unique
-    std::vector<std::uint32_t> local_ids;   // per band pixel
-  };
-
   std::uint64_t geometry = 0;  ///< geometry_key of the stream; 0 = none yet
   std::size_t tile_rows = 0;
   std::size_t tile_count = 0;
   img::ImageU8 prev_frame;
   bool has_prev = false;
-  std::vector<BandCache> bands;
   std::vector<hdc::HyperVector> prev_centroids;  ///< majority snapshots
   SegmentationResult prev_result;
   bool has_result = false;
@@ -385,14 +376,15 @@ struct SegHdcSession::StreamState {
     tile_count = 0;
     prev_frame = img::ImageU8();
     has_prev = false;
-    bands.clear();
     prev_centroids.clear();
     prev_result = SegmentationResult();
     has_result = false;
     frame_index = 0;
     last_stats = StreamFrameStats();
-    // scratch is deliberately kept: its memoised position/color HVs are
-    // pure functions of the encoder state, not of temporal history.
+    // The band tables are temporal history; the rest of scratch is kept:
+    // its memoised position/color HVs are pure functions of the encoder
+    // state.
+    scratch.tiles.clear();
   }
 };
 
@@ -571,7 +563,9 @@ SegHdcSession::EncodeScratch& SegHdcSession::shared_scratch() const {
 
 EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
                                         const EncoderState& state,
-                                        EncodeScratch& scratch) const {
+                                        EncodeScratch& scratch,
+                                        const StreamState* stream,
+                                        StreamFrameStats* stats) const {
   scratch.begin_image(state, config_.dim);
 
   EncodedImage encoded;
@@ -583,69 +577,80 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
   // local key -> first-occurrence table in parallel; the bands are then
   // merged in fixed band order, so unique-point IDs come out in exactly
   // the order a serial row-major scan assigns them — labels are
-  // bit-identical at every thread count and tile size. When
-  // deduplication is disabled every pixel is its own "unique" point
-  // with ID = pixel index (identical semantics, full cost), which the
-  // bands fill directly. ---
+  // bit-identical at every thread count and tile size. A stream frame
+  // tiles by the stream's pinned layout and rescans only the bands whose
+  // bytes changed since the previous frame; an unchanged band's table is
+  // what its rescan would build, so everything after the scan is the
+  // same work either way. ---
   const std::size_t width = image.width();
   const std::size_t height = image.height();
+  const std::size_t channels = image.channels();
   const std::size_t pixel_count = image.pixel_count();
-  const std::size_t tile_rows = tile_rows_for(height);
+  const std::size_t tile_rows =
+      stream != nullptr ? stream->tile_rows : tile_rows_for(height);
   const std::size_t tile_count = (height + tile_rows - 1) / tile_rows;
   const std::size_t shift = config_.color_quantization_shift;
   const double unique_ratio = scratch.last_unique_ratio;
   const std::span<std::uint32_t> pixel_ids(encoded.pixel_to_unique);
   auto& refs = scratch.refs;
   std::span<const UniqueRef> uniques;
-  if (config_.deduplicate && scratch.tiles.size() < tile_count) {
+  if (scratch.tiles.size() < tile_count) {
     scratch.tiles.resize(tile_count);
   }
+  const std::span<Band> bands = std::span(scratch.tiles).first(tile_count);
+  std::atomic<std::size_t> reused{0};
 
-  if (!config_.deduplicate) {
-    // Every pixel its own unique point: band-parallel direct fill.
-    refs.resize(pixel_count);
-    pool().parallel_for(
-        0, tile_count,
-        [&](std::size_t t) {
-          const std::size_t y_end = std::min(height, (t + 1) * tile_rows);
-          for (std::size_t y = t * tile_rows; y < y_end; ++y) {
-            for (std::size_t x = 0; x < width; ++x) {
-              const std::size_t pixel_index = y * width + x;
-              pixel_ids[pixel_index] = static_cast<std::uint32_t>(pixel_index);
-              refs[pixel_index] =
-                  UniqueRef{x, y, quantized_color(image, x, y, shift)};
-            }
-          }
-        },
-        /*grain=*/1);
-    encoded.weights.assign(pixel_count, 1);
-    uniques = refs;
-  } else if (tile_count == 1) {
+  if (tile_count == 1 && stream == nullptr) {
     // One band: its locals are the global uniques, so there is no merge
     // and no second hash. This is also the segment_many worker shape
     // (SerialScope pins auto to one band).
-    Band& band = scratch.tiles[0];
-    scan_band(image, state.position, shift, 0, height, unique_ratio, band,
-              pixel_ids);
-    encoded.weights = std::move(band.weights);
-    uniques = band.refs;
+    scan_band(image, state.position, shift, 0, height, unique_ratio,
+              bands[0], pixel_ids);
+    encoded.weights = std::move(bands[0].weights);
+    uniques = bands[0].refs;
   } else {
-    const std::span<Band> bands = std::span(scratch.tiles).first(tile_count);
     const auto band_ids = [&](std::size_t t) {
       const std::size_t begin = t * tile_rows * width;
       return pixel_ids.subspan(
           begin, std::min(pixel_count, begin + tile_rows * width) - begin);
     };
     // Band t only touches its own table and its own slice of
-    // pixel_to_unique, which holds band-local IDs until the relabel.
+    // pixel_to_unique, which holds band-local IDs until the relabel. A
+    // stream band scans into its own `local_ids` instead, so the next
+    // frame can reuse them.
     pool().parallel_for(
         0, tile_count,
         [&](std::size_t t) {
-          const obs::SpanScope span("encode_band", "core", "band", t);
+          obs::SpanScope span("encode_band", "core", "band", t);
+          Band& band = bands[t];
           const std::size_t y_begin = t * tile_rows;
+          std::span<std::uint32_t> ids = band_ids(t);
+          if (stream != nullptr) {
+            // Reuse needs a hash match confirmed by an exact byte compare
+            // against the previous frame: a collision must not be able to
+            // corrupt labels.
+            const std::size_t byte_begin = y_begin * width * channels;
+            const std::size_t byte_count = ids.size() * channels;
+            const std::uint8_t* bytes = image.data() + byte_begin;
+            const std::uint64_t hash = fnv1a_bytes(bytes, byte_count);
+            const bool reuse =
+                band.valid && stream->has_prev && band.hash == hash &&
+                std::memcmp(bytes, stream->prev_frame.data() + byte_begin,
+                            byte_count) == 0;
+            span.arg("reused", reuse ? 1 : 0);
+            if (reuse) {
+              ++reused;
+              return;
+            }
+            band.hash = hash;
+            band.valid = false;
+            band.local_ids.resize(ids.size());
+            ids = band.local_ids;
+          }
           scan_band(image, state.position, shift, y_begin,
-                    std::min(height, y_begin + tile_rows), unique_ratio,
-                    bands[t], band_ids(t));
+                    std::min(height, y_begin + tile_rows), unique_ratio, band,
+                    ids);
+          band.valid = true;
         },
         /*grain=*/1);
     merge_bands(bands, expected_unique(pixel_count, unique_ratio),
@@ -657,7 +662,8 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
         0, tile_count,
         [&](std::size_t t) {
           const auto ids = band_ids(t);
-          relabel(bands[t].remap, ids, ids);
+          relabel(bands[t].remap,
+                  stream != nullptr ? bands[t].local_ids : ids, ids);
         },
         /*grain=*/1);
     uniques = refs;
@@ -665,6 +671,11 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
   // Images are validated non-empty, so pixel_count >= 1 here.
   scratch.last_unique_ratio =
       static_cast<double>(uniques.size()) / static_cast<double>(pixel_count);
+  if (stats != nullptr) {
+    stats->tiles_total = tile_count;
+    stats->tiles_reused = reused;
+    stats->tiles_encoded = tile_count - stats->tiles_reused;
+  }
 
   // --- Pass 2: memoise and bind the global uniques. ---
   bind_unique(uniques, state.position, state.color, scratch.memo, pool(),
@@ -843,13 +854,6 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
   StreamState& s = *stream.impl_;
   const util::Stopwatch total_watch;
 
-  // Fault injection consumes one sequential RNG stream over the global
-  // unique rows and no-dedup skips the tile tables entirely — both are
-  // incompatible with per-band caching, so those configs re-encode every
-  // frame (replay and warm seeding still apply).
-  const bool band_cache_active =
-      config_.deduplicate && config_.bit_error_rate == 0.0;
-
   const std::uint64_t geometry = geometry_key(frame);
   if (s.geometry != geometry) {
     // New stream, reset(), or mid-stream geometry change: drop all
@@ -861,7 +865,6 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
     s.geometry = geometry;
     s.tile_rows = stream_tile_rows_for(frame.height());
     s.tile_count = (frame.height() + s.tile_rows - 1) / s.tile_rows;
-    s.bands.resize(s.tile_count);
   }
 
   StreamFrameStats stats;
@@ -875,7 +878,7 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
                               s.frame_index);
     stats.warm = true;
     stats.replayed = true;
-    stats.tiles_total = band_cache_active ? s.tile_count : 0;
+    stats.tiles_total = s.tile_count;
     stats.tiles_reused = stats.tiles_total;
     SegmentationResult result = s.prev_result;  // copy; cache stays armed
     result.ops = OpCounts{};  // honest: this frame performed no work
@@ -889,9 +892,7 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
 
   const EncoderState& state = state_for(frame);
   const util::Stopwatch encode_watch;
-  EncodedImage encoded =
-      band_cache_active ? encode_stream_impl(frame, state, s, stats)
-                        : encode_impl(frame, state, s.scratch);
+  EncodedImage encoded = encode_impl(frame, state, s.scratch, &s, &stats);
   const double encode_seconds = encode_watch.seconds();
 
   FinalizeOptions options;
@@ -916,117 +917,6 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
   s.last_stats = stats;
   ++s.frame_index;
   return StreamFrameResult{std::move(result), stats};
-}
-
-EncodedImage SegHdcSession::encode_stream_impl(const img::ImageU8& image,
-                                               const EncoderState& state,
-                                               StreamState& stream,
-                                               StreamFrameStats& stats) const {
-  EncodeScratch& scratch = stream.scratch;
-  scratch.begin_image(state, config_.dim);
-
-  EncodedImage encoded;
-  encoded.width = image.width();
-  encoded.height = image.height();
-  encoded.pixel_to_unique.resize(image.pixel_count());
-
-  const std::size_t width = image.width();
-  const std::size_t height = image.height();
-  const std::size_t channels = image.channels();
-  const std::size_t pixel_count = image.pixel_count();
-  const std::size_t tile_rows = stream.tile_rows;
-  const std::size_t tile_count = stream.tile_count;
-  const std::size_t shift = config_.color_quantization_shift;
-  const double unique_ratio = scratch.last_unique_ratio;
-  stats.tiles_total = tile_count;
-
-  // --- Phase S1: per-band change detection, band-parallel. A band is
-  // reused only when its byte hash matches AND an exact byte compare
-  // against the previous frame confirms it; on a miss the band reruns
-  // the cold dedup scan into its own band-local pixel ids. ---
-  std::vector<std::uint8_t> reused(tile_count, 0);
-  pool().parallel_for(
-      0, tile_count,
-      [&](std::size_t t) {
-        obs::SpanScope span("band_reuse_check", "stream", "band", t);
-        auto& band = stream.bands[t];
-        const std::size_t y_begin = t * tile_rows;
-        const std::size_t y_end = std::min(height, y_begin + tile_rows);
-        const std::size_t byte_begin = y_begin * width * channels;
-        const std::size_t byte_count = (y_end - y_begin) * width * channels;
-        const std::uint8_t* bytes = image.data() + byte_begin;
-        const std::uint64_t hash = fnv1a_bytes(bytes, byte_count);
-        if (band.valid && stream.has_prev && band.hash == hash &&
-            std::memcmp(bytes, stream.prev_frame.data() + byte_begin,
-                        byte_count) == 0) {
-          reused[t] = 1;
-          span.arg("reused", 1);
-          return;
-        }
-        span.arg("reused", 0);
-        band.hash = hash;
-        band.valid = false;  // until the HVs are rebuilt in phase S2
-        band.local_ids.resize((y_end - y_begin) * width);
-        scan_band(image, state.position, shift, y_begin, y_end, unique_ratio,
-                  band, band.local_ids);
-      },
-      /*grain=*/1);
-
-  // --- Phase S2: bind the dirty bands' locals. Band-local HVs are pure
-  // functions of the dedup key, so a rebuilt band is bit-identical to
-  // what its cache held when the pixels last had these bytes. ---
-  std::uint64_t dirty_locals = 0;
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    if (reused[t] != 0) {
-      continue;
-    }
-    auto& band = stream.bands[t];
-    bind_unique(band.refs, state.position, state.color, scratch.memo, pool(),
-                band.intensities, band.hvs);
-    dirty_locals += band.refs.size();
-    band.valid = true;
-  }
-  encoded.ops.bind_xor_bits += dirty_locals * config_.dim;
-
-  // --- Phase S3: the cold fixed band-order merge, so unique IDs,
-  // weights, and intensities replicate the serial row-major scan bit for
-  // bit whether a band came from cache or rebuild. The merged unique HVs
-  // are row copies from the owning band's cache. ---
-  merge_bands(std::span(stream.bands),
-              expected_unique(pixel_count, unique_ratio),
-              scratch.key_to_unique, scratch.origin, encoded.weights);
-  const auto& origin = scratch.origin;
-  const std::size_t n_unique = origin.size();
-  encoded.intensities.resize(n_unique);
-  encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
-  pool().parallel_for(
-      0, n_unique,
-      [&](std::size_t u) {
-        const auto& band = stream.bands[origin[u].band];
-        const auto src = band.hvs.row(origin[u].local);
-        const auto dst = encoded.unique_hvs.row(u);
-        std::copy(src.begin(), src.end(), dst.begin());
-        encoded.intensities[u] = band.intensities[origin[u].local];
-      },
-      /*grain=*/64);
-
-  // --- Phase S4: relabel each band's cached local ids, band-parallel. ---
-  pool().parallel_for(
-      0, tile_count,
-      [&](std::size_t t) {
-        const auto& band = stream.bands[t];
-        relabel(band.remap, band.local_ids,
-                std::span(encoded.pixel_to_unique)
-                    .subspan(t * tile_rows * width, band.local_ids.size()));
-      },
-      /*grain=*/1);
-
-  scratch.last_unique_ratio =
-      static_cast<double>(n_unique) / static_cast<double>(pixel_count);
-  stats.tiles_reused = static_cast<std::size_t>(
-      std::count(reused.begin(), reused.end(), 1));
-  stats.tiles_encoded = tile_count - stats.tiles_reused;
-  return encoded;
 }
 
 std::vector<SegmentationResult> SegHdcSession::segment_many(

@@ -67,13 +67,12 @@ struct StreamFrameStats {
   /// True when the frame was byte-identical to its predecessor and the
   /// cached previous result was replayed without any pipeline work.
   bool replayed = false;
-  /// Row-band tiles in the stream cache layout (0 when the band cache
-  /// is inactive: dedup disabled or fault injection on).
+  /// Row-band tiles in the stream cache layout.
   std::size_t tiles_total = 0;
-  /// Bands whose pixel bytes were unchanged — dedup table and encoded
-  /// HVs reused from the previous frame.
+  /// Bands whose pixel bytes were unchanged — dedup table reused from
+  /// the previous frame instead of rescanned.
   std::size_t tiles_reused = 0;
-  /// Bands re-encoded because their pixels changed.
+  /// Bands rescanned because their pixels changed.
   std::size_t tiles_encoded = 0;
   /// K-Means iterations this frame actually ran (0 on replay).
   std::size_t kmeans_iterations = 0;
@@ -137,7 +136,7 @@ class SegHdcSession {
   };
 
   /// Temporal state for one ordered frame sequence (camera feed, video):
-  /// the previous frame's pixel bytes, the per-band dedup/HV caches, the
+  /// the previous frame's pixel bytes, the per-band dedup tables, the
   /// previous result (for byte-identical replay), and the previous
   /// K-Means centroids (for warm seeding). Create one per stream and
   /// feed it consecutive frames through `segment_stream`; `reset()`
@@ -228,7 +227,9 @@ class SegHdcSession {
   ///     cold start (`StreamFrameStats::kmeans_iterations`).
   ///   - Row bands whose pixel bytes are unchanged since the previous
   ///     frame (content hash + exact byte compare) reuse their cached
-  ///     dedup table and encoded HVs instead of re-encoding.
+  ///     dedup table instead of rescanning. Everything after the scan —
+  ///     merge, bind, fault injection, relabel — is the cold encode, so
+  ///     every frame binds all its unique points.
   ///   - A frame byte-identical to its predecessor replays the cached
   ///     previous result outright (bit-for-bit equal labels, zero
   ///     pipeline work).
@@ -239,9 +240,8 @@ class SegHdcSession {
   /// backend (band caches change what is recomputed, never what is
   /// computed). Thread-safe across *streams* (const session state is
   /// internally synchronised); calls on one Stream must be externally
-  /// ordered. Falls back to full re-encode per frame (no band cache,
-  /// tiles_total = 0) when deduplication is off or fault injection is
-  /// on; replay and warm seeding still apply.
+  /// ordered. Fault injection flips the same merged rows in the same
+  /// order as the cold encode, so it keeps the band cache.
   StreamFrameResult segment_stream(const img::ImageU8& frame,
                                    Stream& stream) const;
 
@@ -262,13 +262,18 @@ class SegHdcSession {
   /// builds resolve to one winner).
   const EncoderState& state_for(const img::ImageU8& image) const;
 
-  /// Cold encode on the file-local band encoder in session.cpp: one
-  /// band scans straight into the global table; several bands scan in
-  /// parallel, merge in band order and relabel. Either way the global
-  /// uniques are then memoised and bound.
+  /// The one encode, cold and stream: one band scans straight into the
+  /// global table; several bands scan in parallel, merge in band order
+  /// and relabel. Either way the global uniques are then memoised, bound
+  /// and fault-injected. A stream frame passes its `stream` (band layout,
+  /// previous frame) with `scratch` = its own arena, whose bands keep
+  /// their tables: only bands whose bytes changed are rescanned, and the
+  /// output is bit-identical to a cold encode. `stats` (stream frames
+  /// only) receives the tile counts.
   EncodedImage encode_impl(const img::ImageU8& image,
-                           const EncoderState& state,
-                           EncodeScratch& scratch) const;
+                           const EncoderState& state, EncodeScratch& scratch,
+                           const StreamState* stream = nullptr,
+                           StreamFrameStats* stats = nullptr) const;
   SegmentationResult segment_impl(const img::ImageU8& image,
                                   EncodeScratch& scratch) const;
   /// Finalize-stage knobs for the stream path. Defaults reproduce the
@@ -289,16 +294,6 @@ class SegHdcSession {
   SegmentationResult finalize_impl(EncodedImage encoded) const;
   SegmentationResult finalize_impl(EncodedImage encoded,
                                    const FinalizeOptions& options) const;
-
-  /// Stream-banded encode: the same band scan, merge, bind and relabel
-  /// as `encode_impl`, but only bands whose bytes changed are scanned
-  /// and bound; the rest reuse their caches in `stream`. Output is
-  /// bit-identical to `encode_impl` (op counts reflect work actually
-  /// done). Fills the tile fields of `stats`.
-  EncodedImage encode_stream_impl(const img::ImageU8& image,
-                                  const EncoderState& state,
-                                  StreamState& stream,
-                                  StreamFrameStats& stats) const;
 
   /// Band height used to tile this image's encode passes (>= 1).
   std::size_t tile_rows_for(std::size_t height) const;

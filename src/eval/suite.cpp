@@ -149,7 +149,6 @@ bool same_semantics(const core::SegHdcConfig& a,
          a.color_encoding == b.color_encoding &&
          a.flip_unit_basis == b.flip_unit_basis &&
          a.cluster_distance == b.cluster_distance &&
-         a.deduplicate == b.deduplicate &&
          a.color_quantization_shift == b.color_quantization_shift &&
          a.bit_error_rate == b.bit_error_rate &&
          a.compute_margins == b.compute_margins;

@@ -1,8 +1,5 @@
 #include "src/hdc/distances.hpp"
 
-#include <cmath>
-#include <cstdlib>
-
 #include "src/hdc/kernels.hpp"
 #include "src/util/contracts.hpp"
 
@@ -20,43 +17,6 @@ double normalized_hamming(const HyperVector& a, const HyperVector& b) {
   util::expects(a.dim() > 0, "normalized_hamming requires non-empty HVs");
   return static_cast<double>(HyperVector::hamming(a, b)) /
          static_cast<double>(a.dim());
-}
-
-double cosine_distance(const HyperVector& a, const HyperVector& b) {
-  util::expects(a.dim() == b.dim(),
-                "cosine_distance requires equal dimensions");
-  const auto pop_a = a.popcount();
-  const auto pop_b = b.popcount();
-  if (pop_a == 0 || pop_b == 0) {
-    return 1.0;
-  }
-  // dot(a, b) for binary vectors = popcount(a AND b)
-  //          = (pop_a + pop_b - hamming(a, b)) / 2.
-  const auto ham = HyperVector::hamming(a, b);
-  const double dot = static_cast<double>(pop_a + pop_b - ham) / 2.0;
-  return 1.0 - dot / (std::sqrt(static_cast<double>(pop_a)) *
-                      std::sqrt(static_cast<double>(pop_b)));
-}
-
-double cosine_distance(const Accumulator& centroid, const HyperVector& hv) {
-  return centroid.cosine_distance(hv);
-}
-
-std::uint64_t manhattan_distance(std::span<const std::int64_t> p,
-                                 std::span<const std::int64_t> q) {
-  util::expects(p.size() == q.size(),
-                "manhattan_distance requires equal lengths");
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    sum += static_cast<std::uint64_t>(std::llabs(p[i] - q[i]));
-  }
-  return sum;
-}
-
-std::uint64_t manhattan_distance_2d(std::int64_t x1, std::int64_t y1,
-                                    std::int64_t x2, std::int64_t y2) {
-  return static_cast<std::uint64_t>(std::llabs(x1 - x2)) +
-         static_cast<std::uint64_t>(std::llabs(y1 - y2));
 }
 
 }  // namespace seghdc::hdc

@@ -1,14 +1,12 @@
-// Distance functions used throughout SegHDC: Hamming (binary HVs),
-// cosine (HV vs. integer centroid, paper Eq. 7), and the Manhattan / L1
-// distance (paper Eq. 1) that the position and color encoders are designed
-// to realise in Hamming space.
+// Hamming distances between binary HVs: the metric the position and
+// color encoders are designed to realise the paper's Manhattan / L1
+// distance (Eq. 1) in. Cosine distance to a centroid (paper Eq. 7) is
+// Accumulator::cosine_distance.
 #ifndef SEGHDC_HDC_DISTANCES_HPP
 #define SEGHDC_HDC_DISTANCES_HPP
 
-#include <cstdint>
-#include <span>
+#include <cstddef>
 
-#include "src/hdc/accumulator.hpp"
 #include "src/hdc/hypervector.hpp"
 
 namespace seghdc::hdc {
@@ -19,24 +17,6 @@ std::size_t hamming_distance(const HyperVector& a, const HyperVector& b);
 /// Hamming distance divided by the dimension, in [0, 1]. Two random HVs
 /// concentrate tightly around 0.5 ("pseudo-orthogonal", paper Lemma 1).
 double normalized_hamming(const HyperVector& a, const HyperVector& b);
-
-/// Cosine distance 1 - cos(a, b) between two binary HVs (treating bits as
-/// 0/1 components). Returns 1 when either is all-zero.
-double cosine_distance(const HyperVector& a, const HyperVector& b);
-
-/// Cosine distance between a binary HV and an integer accumulator
-/// centroid (paper Eq. 7). Forwards to Accumulator::cosine_distance.
-double cosine_distance(const Accumulator& centroid, const HyperVector& hv);
-
-/// Manhattan (L1) distance between two integer coordinate vectors
-/// (paper Eq. 1). Requires equal lengths.
-std::uint64_t manhattan_distance(std::span<const std::int64_t> p,
-                                 std::span<const std::int64_t> q);
-
-/// Manhattan distance between two 2-D points — the form used by the
-/// position encoder (paper Eq. 2).
-std::uint64_t manhattan_distance_2d(std::int64_t x1, std::int64_t y1,
-                                    std::int64_t x2, std::int64_t y2);
 
 }  // namespace seghdc::hdc
 

@@ -50,7 +50,12 @@ void xor_words(std::span<std::uint64_t> dst,
 
 std::int64_t dot_counts_words(std::span<const std::int64_t> counts,
                               std::span<const std::uint64_t> words) {
-  return simd::active_backend().dot_counts(counts, words);
+  // A gather at set-bit indices: word-level SIMD does not apply, so it
+  // is not dispatched. The clustering hot loop uses the bandwidth-bound
+  // CountPlanes formulation instead.
+  std::int64_t sum = 0;
+  for_each_set_bit_words(words, [&](std::size_t i) { sum += counts[i]; });
+  return sum;
 }
 
 std::int64_t accumulate_counts_words(std::span<std::int64_t> counts,

@@ -116,13 +116,6 @@ struct KernelBackend {
   void (*xor_bind)(std::span<std::uint64_t> dst,
                    std::span<const std::uint64_t> a,
                    std::span<const std::uint64_t> b);
-  /// Bit-serial dot of an integer count vector against packed bits:
-  /// sum of counts[i] over set bits i. Kept in the vtable for the
-  /// gather-style callers (Accumulator::dot); the clustering hot loop
-  /// uses the bandwidth-bound plane formulation built on and_popcount
-  /// (hdc::CountPlanes in src/hdc/kernels.hpp) instead.
-  std::int64_t (*dot_counts)(std::span<const std::int64_t> counts,
-                             std::span<const std::uint64_t> words);
   /// Fused weighted accumulate — the K-Means centroid-update primitive:
   /// counts[i] += weight for every set bit i of `words` (weight may be
   /// negative: Accumulator::sub runs the same kernel), word-blocked
@@ -130,8 +123,8 @@ struct KernelBackend {
   /// the sum of the PRE-add counts over those same bits (the dot of the
   /// old counts with `words`), so Accumulator::add maintains its
   /// incremental sum-of-squares without a second gather pass. `counts`
-  /// must cover the bit span exactly like dot_counts (set bits only
-  /// below counts.size(); callers enforce zero padding).
+  /// must cover the bit span (set bits only below counts.size();
+  /// callers enforce zero padding).
   std::int64_t (*accumulate_words)(std::span<std::int64_t> counts,
                                    std::span<const std::uint64_t> words,
                                    std::int64_t weight);

@@ -288,7 +288,6 @@ const KernelBackend kAvx2Backend{
     .hamming_bounded = avx2_hamming_bounded,
     .and_popcount_capped = avx2_and_popcount_capped,
     .xor_bind = avx2_xor_bind,
-    .dot_counts = detail::scalar_dot_counts,
     .accumulate_words = avx2_accumulate_words,
     .build_planes = avx2_build_planes,
 };

@@ -141,7 +141,6 @@ const KernelBackend kHarleySealBackend{
     .and_popcount_capped = hs_and_popcount_capped,
     // Plain XOR is already one op per word; nothing to fold.
     .xor_bind = detail::scalar_xor_bind,
-    .dot_counts = detail::scalar_dot_counts,
     // Masked-lane accumulation only pays with real vector units (a
     // branchless -(bit) formulation measured ~2.5x SLOWER than the walk
     // here — the per-lane variable shifts don't auto-vectorise on

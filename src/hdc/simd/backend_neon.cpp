@@ -191,7 +191,6 @@ const KernelBackend kNeonBackend{
     .hamming_bounded = neon_hamming_bounded,
     .and_popcount_capped = neon_and_popcount_capped,
     .xor_bind = neon_xor_bind,
-    .dot_counts = detail::scalar_dot_counts,
     .accumulate_words = neon_accumulate_words,
     // The scatter is index arithmetic; vcnt has nothing to add.
     .build_planes = detail::scalar_build_planes,

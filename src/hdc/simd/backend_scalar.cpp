@@ -9,14 +9,6 @@ namespace seghdc::hdc::simd {
 
 namespace detail {
 
-std::int64_t scalar_dot_counts(std::span<const std::int64_t> counts,
-                               std::span<const std::uint64_t> words) {
-  std::int64_t sum = 0;
-  kernels::for_each_set_bit_words(words,
-                                  [&](std::size_t i) { sum += counts[i]; });
-  return sum;
-}
-
 std::int64_t scalar_accumulate_words(std::span<std::int64_t> counts,
                                      std::span<const std::uint64_t> words,
                                      std::int64_t weight) {
@@ -59,7 +51,6 @@ const KernelBackend kScalarBackend{
     .hamming_bounded = detail::scalar_hamming_bounded,
     .and_popcount_capped = detail::scalar_and_popcount_capped,
     .xor_bind = detail::scalar_xor_bind,
-    .dot_counts = detail::scalar_dot_counts,
     .accumulate_words = detail::scalar_accumulate_words,
     .build_planes = detail::scalar_build_planes,
 };

@@ -1,9 +1,9 @@
-// Tests for the distance functions (paper Eq. 1 and Eq. 7).
+// Tests for the Hamming distances and the centroid cosine (paper Eq. 7).
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 
+#include "src/hdc/accumulator.hpp"
 #include "src/hdc/distances.hpp"
 #include "src/util/rng.hpp"
 
@@ -38,42 +38,6 @@ TEST(Distances, NormalizedHammingRange) {
   EXPECT_DOUBLE_EQ(normalized_hamming(a, b), 1.0);
 }
 
-TEST(Distances, CosineBinaryIdenticalIsZero) {
-  Rng rng(4);
-  const auto a = HyperVector::random(512, rng);
-  EXPECT_NEAR(cosine_distance(a, a), 0.0, 1e-12);
-}
-
-TEST(Distances, CosineBinaryDisjointIsOne) {
-  HyperVector a(8);
-  HyperVector b(8);
-  a.set(0, true);
-  a.set(1, true);
-  b.set(4, true);
-  b.set(5, true);
-  EXPECT_NEAR(cosine_distance(a, b), 1.0, 1e-12);
-}
-
-TEST(Distances, CosineBinaryKnownOverlap) {
-  // a = {0,1}, b = {1,2}: dot = 1, norms = sqrt(2) ->
-  // distance = 1 - 1/2 = 0.5.
-  HyperVector a(8);
-  HyperVector b(8);
-  a.set(0, true);
-  a.set(1, true);
-  b.set(1, true);
-  b.set(2, true);
-  EXPECT_NEAR(cosine_distance(a, b), 0.5, 1e-12);
-}
-
-TEST(Distances, CosineZeroVectorConvention) {
-  const HyperVector zero(16);
-  HyperVector one(16);
-  one.set(3, true);
-  EXPECT_DOUBLE_EQ(cosine_distance(zero, one), 1.0);
-  EXPECT_DOUBLE_EQ(cosine_distance(one, zero), 1.0);
-}
-
 TEST(Distances, CosineAgainstAccumulatorMatchesEq7) {
   // Eq. 7 spelled out on a tiny example: z = [2,1,0,1], y = {0,2}.
   Accumulator z(4);
@@ -89,31 +53,7 @@ TEST(Distances, CosineAgainstAccumulatorMatchesEq7) {
   y.set(2, true);
   // dot = 2, |y| = sqrt(2), |z| = sqrt(4+1+0+1) = sqrt(6).
   const double expected = 1.0 - 2.0 / (std::sqrt(2.0) * std::sqrt(6.0));
-  EXPECT_NEAR(cosine_distance(z, y), expected, 1e-12);
-}
-
-TEST(Distances, ManhattanVectors) {
-  const std::array<std::int64_t, 3> p{1, -2, 10};
-  const std::array<std::int64_t, 3> q{4, 2, 10};
-  EXPECT_EQ(manhattan_distance(p, q), 7u);
-  EXPECT_EQ(manhattan_distance(p, p), 0u);
-}
-
-TEST(Distances, ManhattanLengthMismatchThrows) {
-  const std::array<std::int64_t, 2> p{0, 0};
-  const std::array<std::int64_t, 3> q{0, 0, 0};
-  EXPECT_THROW(manhattan_distance(p, q), std::invalid_argument);
-}
-
-TEST(Distances, Manhattan2dMatchesEq2) {
-  // Paper Eq. 2: equal sums of coordinate offsets give equal distances.
-  const auto d1 = manhattan_distance_2d(0, 0, 1, 3);
-  const auto d2 = manhattan_distance_2d(0, 0, 2, 2);
-  const auto d3 = manhattan_distance_2d(0, 0, 4, 0);
-  EXPECT_EQ(d1, 4u);
-  EXPECT_EQ(d1, d2);
-  EXPECT_EQ(d2, d3);
-  EXPECT_EQ(manhattan_distance_2d(-2, -3, 2, 3), 10u);
+  EXPECT_NEAR(z.cosine_distance(y), expected, 1e-12);
 }
 
 }  // namespace

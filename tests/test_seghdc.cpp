@@ -1,6 +1,12 @@
 // End-to-end tests for the SegHDC pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "src/core/kmeans.hpp"
 #include "src/core/seghdc.hpp"
 #include "src/metrics/segmentation_metrics.hpp"
 
@@ -79,17 +85,51 @@ TEST(SegHdc, SeedChangesEncodingNotQuality) {
   EXPECT_NEAR(iou_a, iou_b, 0.02);
 }
 
-TEST(SegHdc, DedupMatchesNoDedupLabels) {
-  // Deduplication is an exact optimisation: identical label maps.
-  const auto card = make_card(32);
-  auto with_dedup = small_config();
-  auto without_dedup = small_config();
-  without_dedup.deduplicate = false;
-  const auto a = SegHdc(with_dedup).segment(card.image);
-  const auto b = SegHdc(without_dedup).segment(card.image);
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_LT(a.unique_points, b.unique_points);
-  EXPECT_EQ(b.unique_points, card.image.pixel_count());
+TEST(SegHdc, DedupMatchesPerPixelOracle) {
+  // Deduplication is an exact optimisation. The oracle clusters every
+  // pixel as its own point: the encode expanded to per-pixel rows through
+  // pixel_to_unique, weight 1 each, seeds picked over per-pixel
+  // intensities. Its labels must equal segment()'s.
+  for (const std::size_t channels : {1u, 3u}) {
+    for (const auto distance :
+         {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
+      SCOPED_TRACE("channels " + std::to_string(channels) +
+                   (distance == ClusterDistance::kCosine ? " cosine"
+                                                         : " hamming"));
+      const auto card = make_card(32, channels);
+      auto config = small_config();
+      config.cluster_distance = distance;
+      const SegHdc seghdc(config);
+      const auto encoded = seghdc.encode(card.image);
+      const std::size_t pixels = card.image.pixel_count();
+
+      hdc::HvBlock per_pixel(config.dim, pixels);
+      std::vector<std::uint8_t> intensities(pixels);
+      for (std::size_t p = 0; p < pixels; ++p) {
+        const std::uint32_t u = encoded.pixel_to_unique[p];
+        const auto row = encoded.unique_hvs.row(u);
+        std::copy(row.begin(), row.end(), per_pixel.row(p).begin());
+        intensities[p] = encoded.intensities[u];
+      }
+      const std::vector<std::uint32_t> weights(pixels, 1);
+      const HvKMeans kmeans(HvKMeansConfig{
+          .clusters = config.clusters,
+          .iterations = config.iterations,
+          .distance = config.cluster_distance,
+      });
+      const auto oracle = kmeans.run(
+          per_pixel, weights,
+          largest_color_difference_seeds(intensities, config.clusters));
+
+      const auto result = seghdc.segment(card.image);
+      EXPECT_LT(result.unique_points, pixels);
+      ASSERT_EQ(result.labels.pixel_count(), pixels);
+      for (std::size_t p = 0; p < pixels; ++p) {
+        ASSERT_EQ(result.labels.pixels()[p], oracle.assignment[p])
+            << "pixel " << p;
+      }
+    }
+  }
 }
 
 TEST(SegHdc, EncodeMappingIsConsistent) {

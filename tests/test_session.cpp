@@ -129,8 +129,7 @@ TEST(SegHdcSession, MatchesLegacySegHdcAcrossConfigs) {
     configs.push_back(c);
   }
   {
-    auto c = base_config();  // no dedup + fault injection
-    c.deduplicate = false;
+    auto c = base_config();  // fault injection
     c.bit_error_rate = 0.01;
     configs.push_back(c);
   }

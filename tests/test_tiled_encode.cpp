@@ -133,20 +133,6 @@ TEST(TiledEncode, FullPipelineLabelsMatchUntiled) {
   }
 }
 
-TEST(TiledEncode, NoDedupPathMatchesUntiled) {
-  const auto image = textured_image(21, 13, 3);
-  auto untiled_config = small_config();
-  untiled_config.deduplicate = false;
-  untiled_config.tile_rows = image.height();
-  const auto expected = core::SegHdcSession(untiled_config).encode(image);
-  util::ThreadPool pool(3);
-  auto config = untiled_config;
-  config.tile_rows = 2;
-  const core::SegHdcSession session(config,
-                                    core::SegHdcSession::Options{&pool});
-  expect_encode_identical(expected, session.encode(image));
-}
-
 TEST(TiledEncode, RepeatedCallsReuseArenaWithoutDrift) {
   // The unique-ratio reserve hint and the per-band arenas are reused
   // across calls; a low-dedup (noisy) frame between identical frames
