@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace seghdc::core {
 
@@ -125,33 +124,20 @@ struct SegHdcConfig {
   /// one; larger = more confident). Costs one extra assignment pass.
   bool compute_margins = false;
   /// Row height of the bands the single-image encode is tiled into —
-  /// the intra-image parallelism knob. Phase 1 of the encode builds one
-  /// dedup table per band in parallel, then merges the bands in fixed
-  /// order so unique-point IDs come out in exactly the serial row-major
-  /// first-occurrence order: labels are bit-identical for every value
-  /// at every thread count. 0 = resolve from the SEGHDC_TILE_ROWS
-  /// environment variable when set and non-zero, else auto-size from
-  /// the session pool (~4 bands per thread; one band when the pool is
-  /// single-threaded or the call runs on a serialised segment_many
-  /// worker, where tiling is pure overhead). Any value >= the image
-  /// height means one band, i.e. the untiled serial scan. A performance
-  /// knob, never a semantics knob.
+  /// the intra-image parallelism knob — rounded up to whole position
+  /// blocks (beta rows for the block encoding, 1 row otherwise). Phase 1
+  /// of the encode builds one dedup table per band in parallel; a band
+  /// of whole blocks shares no dedup key with another, so band t's
+  /// unique-point IDs follow those of bands 0..t-1 in exactly the serial
+  /// row-major first-occurrence order: labels are bit-identical for
+  /// every value at every thread count. 0 = resolve from the
+  /// SEGHDC_TILE_ROWS environment variable when set and non-zero, else
+  /// auto-size from the session pool (~4 bands per thread; one band when
+  /// the pool is single-threaded or the call runs on a serialised
+  /// segment_many worker, where tiling is pure overhead). Any value >=
+  /// the image height means one band, i.e. the untiled serial scan. A
+  /// performance knob, never a semantics knob.
   std::size_t tile_rows = 0;
-  /// Forces the process-wide span tracer (src/obs/trace.hpp) on when a
-  /// session/pipeline is constructed with this config. false (the
-  /// default) defers to the SEGHDC_TRACE environment variable ("1" =
-  /// on, "0"/unset = leave off, anything else is a hard error). Tracing
-  /// is purely observational: labels are bit-identical with it on or
-  /// off, at every backend and pool size.
-  bool trace = false;
-  /// SIMD kernel-backend override (src/hdc/simd/): "" leaves the
-  /// process-wide selection alone (SEGHDC_KERNEL_BACKEND environment
-  /// variable, else automatic CPU detection); otherwise a registered
-  /// backend name ("scalar", "harley-seal", "avx2", "neon") or "auto"
-  /// to re-run detection. Applied when a session/pipeline is
-  /// constructed; every backend yields bit-identical labels, so this is
-  /// a performance knob, never a semantics knob.
-  std::string kernel_backend{};
 
   /// Throws std::invalid_argument when any parameter is out of range.
   void validate() const;

@@ -57,6 +57,9 @@ class PositionEncoder {
   std::size_t row_block(std::size_t i) const;
   std::size_t col_block(std::size_t j) const;
 
+  /// Rows per position block: beta for the block variant, 1 otherwise.
+  std::size_t block_height() const { return block_; }
+
   /// Number of distinct row/column HVs (= number of blocks).
   std::size_t distinct_rows() const { return row_ladder_.size(); }
   std::size_t distinct_cols() const { return col_ladder_.size(); }

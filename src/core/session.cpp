@@ -17,7 +17,6 @@
 #include "src/core/kmeans.hpp"
 #include "src/core/position_encoder.hpp"
 #include "src/hdc/fault.hpp"
-#include "src/hdc/simd/backend.hpp"
 #include "src/imaging/color.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/contracts.hpp"
@@ -103,25 +102,23 @@ std::array<std::uint8_t, 3> quantized_color(const img::ImageU8& image,
 }
 
 /// One unique point: its representative (first-occurrence) pixel and
-/// quantised color.
+/// quantised color. validate_image caps both axes at 65535.
 struct UniqueRef {
-  std::size_t x, y;
+  std::uint16_t x, y;
   std::array<std::uint8_t, 3> color;
 };
 
 /// The dedup table of one row band: per local unique point, in the
-/// band's row-major first-occurrence order, its key, ref, and pixel
-/// weight. `remap` (local id -> global id) is filled by `merge_bands`.
-/// Reused across images (cleared, capacity retained). A stream band also
-/// keeps its pixel-byte hash and its pixels' band-local ids, so an
-/// unchanged band skips the scan on the next frame: the table is a pure
-/// function of the band's bytes.
+/// band's row-major first-occurrence order, its ref and pixel weight.
+/// Bands start and end on position-block boundaries, so no key occurs in
+/// two bands. Reused across images (cleared, capacity retained). A
+/// stream band also keeps its pixel-byte hash and its pixels' band-local
+/// ids, so an unchanged band skips the scan on the next frame: the table
+/// is a pure function of the band's bytes.
 struct Band {
   std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
-  std::vector<std::uint64_t> keys;
   std::vector<UniqueRef> refs;
   std::vector<std::uint32_t> weights;
-  std::vector<std::uint32_t> remap;
   std::uint64_t hash = 0;
   /// False until the band's scan has finished (a throw mid-scan must not
   /// leave a half-built table eligible for reuse).
@@ -129,21 +126,13 @@ struct Band {
   std::vector<std::uint32_t> local_ids;  // per band pixel (streams only)
 };
 
-/// Where a merged unique point first occurred: band and band-local id.
-struct Origin {
-  std::uint32_t band;
-  std::uint32_t local;
-};
-
-/// Memoised position and color HVs. Their values are pure functions of
-/// the encoder state, so they survive across images of one geometry.
-/// Node-based maps: value addresses are stable across rehashing, so the
-/// per-point views may point into them.
-struct HvMemo {
-  std::unordered_map<std::uint64_t, hdc::HyperVector> position_cache;
-  std::unordered_map<std::uint32_t, hdc::HyperVector> color_cache;
-  std::vector<const hdc::HyperVector*> position_of;
-  std::vector<const hdc::HyperVector*> color_of;
+/// Memoised color HVs. Their values are pure functions of the encoder
+/// state, so they survive across images of one geometry. Node-based
+/// map: value addresses are stable across rehashing, so the per-point
+/// views may point into it.
+struct ColorMemo {
+  std::unordered_map<std::uint32_t, hdc::HyperVector> cache;
+  std::vector<const hdc::HyperVector*> of;
 };
 
 /// The dedup scan of rows [y_begin, y_end): keys every pixel by (row
@@ -156,7 +145,6 @@ void scan_band(const img::ImageU8& image, const PositionEncoder& position,
                std::span<std::uint32_t> local_ids) {
   const std::size_t width = image.width();
   band.key_to_local.clear();
-  band.keys.clear();
   band.refs.clear();
   band.weights.clear();
   band.key_to_local.reserve(
@@ -172,8 +160,8 @@ void scan_band(const img::ImageU8& image, const PositionEncoder& position,
       const auto [it, inserted] = band.key_to_local.try_emplace(
           key, static_cast<std::uint32_t>(band.refs.size()));
       if (inserted) {
-        band.keys.push_back(key);
-        band.refs.push_back(UniqueRef{x, y, color});
+        band.refs.push_back(UniqueRef{static_cast<std::uint16_t>(x),
+                                      static_cast<std::uint16_t>(y), color});
         band.weights.push_back(0);
       }
       ++band.weights[it->second];
@@ -182,75 +170,32 @@ void scan_band(const img::ImageU8& image, const PositionEncoder& position,
   }
 }
 
-/// The fixed band-order merge into the empty `key_to_unique`. A key's
-/// global id is assigned at its first band (bands are row-ordered and
-/// each band's locals are in row-major first-occurrence order), so ids
-/// replicate the serial row-major scan exactly. Fills each band's
-/// `remap`, the first-occurrence `origin` and summed pixel `weights` of
-/// every global unique. Work is O(sum of band unique counts), not
-/// O(pixels).
-void merge_bands(std::span<Band> bands, std::size_t expected,
-                 std::unordered_map<std::uint64_t, std::uint32_t>&
-                     key_to_unique,
-                 std::vector<Origin>& origin,
-                 std::vector<std::uint32_t>& weights) {
-  key_to_unique.reserve(expected);
-  origin.clear();
-  weights.clear();
-  for (std::size_t t = 0; t < bands.size(); ++t) {
-    Band& band = bands[t];
-    band.remap.resize(band.keys.size());
-    for (std::size_t local = 0; local < band.keys.size(); ++local) {
-      const auto [it, inserted] = key_to_unique.try_emplace(
-          band.keys[local], static_cast<std::uint32_t>(origin.size()));
-      if (inserted) {
-        origin.push_back(Origin{static_cast<std::uint32_t>(t),
-                                static_cast<std::uint32_t>(local)});
-        weights.push_back(0);
-      }
-      band.remap[local] = it->second;
-      weights[it->second] += band.weights[local];
-    }
-  }
-}
-
-/// Encodes `refs` into rows of `hvs`. Position HVs repeat across every
-/// color in a block and color HVs repeat across blocks, so each distinct
-/// HV is memoised in `memo` and built once per session geometry; the
-/// per-point work left is one word-parallel XOR straight into the packed
+/// Encodes `refs` into rows of `hvs`: each row is its point's position
+/// HV (row HV XOR column HV, straight from the encoder's ladders) bound
+/// to its color HV. Color HVs repeat across blocks, so each distinct one
+/// is memoised in `memo` and built once per session geometry; the
+/// per-point work left is word-parallel XORs straight into the packed
 /// block, data-parallel over points. Also fills each point's intensity.
 void bind_unique(std::span<const UniqueRef> refs,
                  const PositionEncoder& position, const ColorEncoder& color,
-                 HvMemo& memo, util::ThreadPool& pool,
+                 ColorMemo& memo, util::ThreadPool& pool,
                  std::vector<std::uint8_t>& intensities, hdc::HvBlock& hvs) {
   const std::size_t channels = color.config().channels;
   intensities.resize(refs.size());
-  memo.position_of.assign(refs.size(), nullptr);
-  memo.color_of.assign(refs.size(), nullptr);
+  memo.of.assign(refs.size(), nullptr);
   for (std::size_t u = 0; u < refs.size(); ++u) {
     const auto& ref = refs[u];
-    const std::uint64_t position_key =
-        (static_cast<std::uint64_t>(position.row_block(ref.y)) << 20) |
-        position.col_block(ref.x);
-    auto pos_it = memo.position_cache.find(position_key);
-    if (pos_it == memo.position_cache.end()) {
-      pos_it = memo.position_cache
-                   .emplace(position_key, position.encode(ref.y, ref.x))
-                   .first;
+    const std::uint32_t key = (static_cast<std::uint32_t>(ref.color[0]) << 16) |
+                              (static_cast<std::uint32_t>(ref.color[1]) << 8) |
+                              ref.color[2];
+    auto it = memo.cache.find(key);
+    if (it == memo.cache.end()) {
+      it = memo.cache
+               .emplace(key, color.encode(std::span<const std::uint8_t>(
+                                 ref.color.data(), channels)))
+               .first;
     }
-    memo.position_of[u] = &pos_it->second;
-    const std::uint32_t color_key =
-        (static_cast<std::uint32_t>(ref.color[0]) << 16) |
-        (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
-    auto color_it = memo.color_cache.find(color_key);
-    if (color_it == memo.color_cache.end()) {
-      color_it = memo.color_cache
-                     .emplace(color_key,
-                              color.encode(std::span<const std::uint8_t>(
-                                  ref.color.data(), channels)))
-                     .first;
-    }
-    memo.color_of[u] = &color_it->second;
+    memo.of[u] = &it->second;
     intensities[u] =
         channels == 1 ? ref.color[0]
                       : img::luma(ref.color[0], ref.color[1], ref.color[2]);
@@ -259,19 +204,25 @@ void bind_unique(std::span<const UniqueRef> refs,
   pool.parallel_for(
       0, refs.size(),
       [&](std::size_t u) {
-        hdc::kernels::xor_words(hvs.row(u), memo.position_of[u]->words(),
-                                memo.color_of[u]->words());
+        const auto row = hvs.row(u);
+        hdc::kernels::xor_words(row, position.row_hv(refs[u].y).words(),
+                                position.col_hv(refs[u].x).words());
+        hdc::kernels::xor_words(row, row, memo.of[u]->words());
       },
       /*grain=*/64);
-}
-
-/// Maps one band's pixels from band-local to global ids through the
-/// band's merge `remap`. `global_ids` may alias `local_ids`.
-void relabel(std::span<const std::uint32_t> remap,
-             std::span<const std::uint32_t> local_ids,
-             std::span<std::uint32_t> global_ids) {
-  for (std::size_t i = 0; i < local_ids.size(); ++i) {
-    global_ids[i] = remap[local_ids[i]];
+  // Backstop for adversarial color churn (high-entropy RGB streams): cap
+  // the memo by payload bytes, not entries, so the bound holds on edge
+  // devices at any dim: ~8 MB of packed words per worker,
+  // floored/ceilinged so small dims don't drown in node overhead and
+  // large dims keep a useful working set. Checked once the bind is done
+  // (no view into the memo is live), so an over-cap memo is not kept
+  // between images.
+  const std::size_t word_budget = (8u << 20) / sizeof(std::uint64_t);
+  const std::size_t entry_cap = std::clamp<std::size_t>(
+      word_budget / hdc::kernels::words_for_dim(color.config().dim), 1024,
+      1u << 16);
+  if (memo.cache.size() >= entry_cap) {
+    memo.cache = {};
   }
 }
 
@@ -310,43 +261,28 @@ struct SegHdcSession::EncoderState {
 };
 
 /// Reusable per-worker arena for encode: the band dedup tables, the
-/// merge state, and the memoised position/color HVs. The HV memo is
-/// keyed by encoder state and survives across images of the same
+/// concatenated unique refs, and the memoised color HVs. The color memo
+/// is keyed by encoder state and survives across images of the same
 /// geometry, so a worker streaming similar frames stops re-deriving the
 /// same HVs; the per-image containers are cleared (capacity retained)
 /// between calls.
 struct SegHdcSession::EncodeScratch {
   std::vector<Band> tiles;
-  std::unordered_map<std::uint64_t, std::uint32_t> key_to_unique;
-  std::vector<Origin> origin;
-  /// Global unique refs of the multi-band encode.
+  /// Global unique refs: every band's refs in band order.
   std::vector<UniqueRef> refs;
   /// Unique ratio (unique points / pixels) observed on the previous
   /// image through this arena; seeds the dedup-map reserves so low-dedup
   /// images (noise, photos) don't rehash repeatedly mid-scan. Starts at
   /// the old fixed 1/4 heuristic.
   double last_unique_ratio = 0.25;
-  HvMemo memo;
+  ColorMemo memo;
   const EncoderState* cached_state = nullptr;
 
-  void begin_image(const EncoderState& state, std::size_t dim) {
-    key_to_unique.clear();
+  void begin_image(const EncoderState& state) {
     refs.clear();
     if (cached_state != &state) {
-      memo.position_cache.clear();
-      memo.color_cache.clear();
+      memo.cache.clear();
       cached_state = &state;
-    }
-    // Backstop for adversarial color churn (high-entropy RGB streams):
-    // cap the cross-image cache by payload bytes, not entries, so the
-    // bound holds on edge devices at any dim. ~8 MB of packed words per
-    // worker, floored/ceilinged so small dims don't drown in node
-    // overhead and large dims keep a useful working set.
-    const std::size_t word_budget = (8u << 20) / sizeof(std::uint64_t);
-    const std::size_t entry_cap = std::clamp<std::size_t>(
-        word_budget / hdc::kernels::words_for_dim(dim), 1024, 1u << 16);
-    if (memo.color_cache.size() >= entry_cap) {
-      memo.color_cache.clear();
     }
   }
 };
@@ -382,8 +318,7 @@ struct SegHdcSession::StreamState {
     frame_index = 0;
     last_stats = StreamFrameStats();
     // The band tables are temporal history; the rest of scratch is kept:
-    // its memoised position/color HVs are pure functions of the encoder
-    // state.
+    // its memoised color HVs are pure functions of the encoder state.
     scratch.tiles.clear();
   }
 };
@@ -404,19 +339,9 @@ SegHdcSession::SegHdcSession(const SegHdcConfig& config,
                              const Options& options)
     : config_(config), pool_(options.pool) {
   config_.validate();
-  // Kernel-backend override plumbing: a named backend (or "auto") in
-  // the config re-points the process-wide dispatch; "" leaves the
-  // SEGHDC_KERNEL_BACKEND / auto-detected selection alone. Throws
-  // std::invalid_argument for unknown/unavailable names, like the other
-  // config validations.
-  if (!config_.kernel_backend.empty()) {
-    hdc::simd::force_backend(config_.kernel_backend);
-  }
-  // Tracing opt-in plumbing, same shape as the backend override: the
-  // config can force the process-wide tracer on, otherwise SEGHDC_TRACE
-  // is consulted (hard error on malformed values). Observational only —
-  // results are bit-identical either way.
-  obs::apply_trace_config(config_.trace);
+  // SEGHDC_TRACE opt-in (hard error on malformed values). Observational
+  // only — results are bit-identical either way.
+  obs::apply_trace_config();
   // Tile-rows resolution order: explicit config value, else the
   // SEGHDC_TILE_ROWS environment variable (read once here), else 0 =
   // auto-sized per image from the pool. Purely a performance knob —
@@ -452,38 +377,35 @@ SegHdcSession::Scratch::Scratch(Scratch&&) noexcept = default;
 SegHdcSession::Scratch& SegHdcSession::Scratch::operator=(Scratch&&) noexcept =
     default;
 
-std::size_t SegHdcSession::tile_rows_for(std::size_t height) const {
+std::size_t SegHdcSession::tile_rows_for(std::size_t height,
+                                         std::size_t block,
+                                         bool stream) const {
+  std::size_t rows = height;
   if (tile_rows_ != 0) {
-    // Clamp to the image height so "any value >= height means one
-    // band" holds without the ceil-division in the caller overflowing
-    // on huge overrides (height + tile_rows - 1 must not wrap).
-    return std::min(tile_rows_, height);
+    // "Any value >= height means one band"; the clamp also keeps the
+    // ceil-divisions below from wrapping on huge overrides.
+    rows = std::min(tile_rows_, height);
+  } else {
+    const std::size_t threads =
+        util::SerialScope::active() ? 1 : pool().thread_count();
+    if (stream) {
+      // Bands are the stream's reuse granularity: ~height/16 rows (finer
+      // when the pool wants more parallelism), so a localized change
+      // dirties a few bands even on a 1-thread pool.
+      const std::size_t bands = std::max<std::size_t>(16, 4 * threads);
+      rows = (height + bands - 1) / bands;
+    } else if (threads > 1) {
+      // ~4 bands per pool thread for load balance. One band when the
+      // encode cannot fan out anyway — a single-thread pool, or a
+      // segment_many worker whose inner loops are pinned serial.
+      rows = (height + 4 * threads - 1) / (4 * threads);
+    }
   }
-  // Auto: ~4 bands per pool thread for load balance. One band when the
-  // encode cannot fan out anyway — a single-thread pool, or a
-  // segment_many worker whose inner loops are pinned serial — so the
-  // hot serving path pays zero tiling overhead.
-  if (util::SerialScope::active()) {
-    return height;
-  }
-  const std::size_t threads = pool().thread_count();
-  if (threads <= 1) {
-    return height;
-  }
-  return std::max<std::size_t>(1, (height + 4 * threads - 1) / (4 * threads));
-}
-
-std::size_t SegHdcSession::stream_tile_rows_for(std::size_t height) const {
-  if (tile_rows_ != 0) {
-    return std::min(tile_rows_, height);
-  }
-  // Auto: bands of ~height/16 rows (finer when the pool wants more
-  // parallelism), so a localized frame-to-frame change dirties a few
-  // bands instead of the whole image even on a 1-thread pool.
-  const std::size_t threads =
-      util::SerialScope::active() ? 1 : pool().thread_count();
-  const std::size_t bands = std::max<std::size_t>(16, 4 * threads);
-  return std::max<std::size_t>(1, (height + bands - 1) / bands);
+  // Round up to whole position blocks. beta has no upper bound, so clamp
+  // the block to the height first: a block taller than the image is one
+  // band.
+  block = std::min(block, height);
+  return (rows + block - 1) / block * block;
 }
 
 util::ThreadPool& SegHdcSession::pool() const {
@@ -551,7 +473,7 @@ SegmentationResult SegHdcSession::cluster_and_finalize(
 
 /// The session-owned scratch used by single-image segment()/encode()
 /// calls, so a plain `for (image : stream) session.segment(image)` loop
-/// keeps its memoised position/color HVs warm between frames. Callers
+/// keeps its memoised color HVs warm between frames. Callers
 /// must hold scratch_mutex_; concurrent callers that lose the try_lock
 /// fall back to a private scratch (identical output, cold caches).
 SegHdcSession::EncodeScratch& SegHdcSession::shared_scratch() const {
@@ -566,122 +488,119 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
                                         EncodeScratch& scratch,
                                         const StreamState* stream,
                                         StreamFrameStats* stats) const {
-  scratch.begin_image(state, config_.dim);
+  scratch.begin_image(state);
 
   EncodedImage encoded;
   encoded.width = image.width();
   encoded.height = image.height();
   encoded.pixel_to_unique.resize(image.pixel_count());
 
-  // --- Pass 1: dedup keys, tiled into row bands. Each band builds its
-  // local key -> first-occurrence table in parallel; the bands are then
-  // merged in fixed band order, so unique-point IDs come out in exactly
-  // the order a serial row-major scan assigns them — labels are
-  // bit-identical at every thread count and tile size. A stream frame
-  // tiles by the stream's pinned layout and rescans only the bands whose
-  // bytes changed since the previous frame; an unchanged band's table is
-  // what its rescan would build, so everything after the scan is the
-  // same work either way. ---
+  // --- Pass 1: dedup keys, tiled into row bands of whole position
+  // blocks. Each band builds its local key -> first-occurrence table in
+  // parallel. A key names its row block, so no key occurs in two bands:
+  // band t's global ids are its local ids plus the unique count of bands
+  // 0..t-1, exactly the order a serial row-major scan assigns them —
+  // labels are bit-identical at every thread count and tile size. A
+  // stream frame tiles by the stream's pinned layout and rescans only
+  // the bands whose bytes changed since the previous frame; an unchanged
+  // band's table is what its rescan would build, so everything after the
+  // scan is the same work either way. ---
   const std::size_t width = image.width();
   const std::size_t height = image.height();
   const std::size_t channels = image.channels();
   const std::size_t pixel_count = image.pixel_count();
   const std::size_t tile_rows =
-      stream != nullptr ? stream->tile_rows : tile_rows_for(height);
+      stream != nullptr
+          ? stream->tile_rows
+          : tile_rows_for(height, state.position.block_height(), false);
   const std::size_t tile_count = (height + tile_rows - 1) / tile_rows;
   const std::size_t shift = config_.color_quantization_shift;
   const double unique_ratio = scratch.last_unique_ratio;
   const std::span<std::uint32_t> pixel_ids(encoded.pixel_to_unique);
-  auto& refs = scratch.refs;
-  std::span<const UniqueRef> uniques;
   if (scratch.tiles.size() < tile_count) {
     scratch.tiles.resize(tile_count);
   }
   const std::span<Band> bands = std::span(scratch.tiles).first(tile_count);
   std::atomic<std::size_t> reused{0};
-
-  if (tile_count == 1 && stream == nullptr) {
-    // One band: its locals are the global uniques, so there is no merge
-    // and no second hash. This is also the segment_many worker shape
-    // (SerialScope pins auto to one band).
-    scan_band(image, state.position, shift, 0, height, unique_ratio,
-              bands[0], pixel_ids);
-    encoded.weights = std::move(bands[0].weights);
-    uniques = bands[0].refs;
-  } else {
-    const auto band_ids = [&](std::size_t t) {
-      const std::size_t begin = t * tile_rows * width;
-      return pixel_ids.subspan(
-          begin, std::min(pixel_count, begin + tile_rows * width) - begin);
-    };
-    // Band t only touches its own table and its own slice of
-    // pixel_to_unique, which holds band-local IDs until the relabel. A
-    // stream band scans into its own `local_ids` instead, so the next
-    // frame can reuse them.
-    pool().parallel_for(
-        0, tile_count,
-        [&](std::size_t t) {
-          obs::SpanScope span("encode_band", "core", "band", t);
-          Band& band = bands[t];
-          const std::size_t y_begin = t * tile_rows;
-          std::span<std::uint32_t> ids = band_ids(t);
-          if (stream != nullptr) {
-            // Reuse needs a hash match confirmed by an exact byte compare
-            // against the previous frame: a collision must not be able to
-            // corrupt labels.
-            const std::size_t byte_begin = y_begin * width * channels;
-            const std::size_t byte_count = ids.size() * channels;
-            const std::uint8_t* bytes = image.data() + byte_begin;
-            const std::uint64_t hash = fnv1a_bytes(bytes, byte_count);
-            const bool reuse =
-                band.valid && stream->has_prev && band.hash == hash &&
-                std::memcmp(bytes, stream->prev_frame.data() + byte_begin,
-                            byte_count) == 0;
-            span.arg("reused", reuse ? 1 : 0);
-            if (reuse) {
-              ++reused;
-              return;
-            }
-            band.hash = hash;
-            band.valid = false;
-            band.local_ids.resize(ids.size());
-            ids = band.local_ids;
+  const auto band_ids = [&](std::size_t t) {
+    const std::size_t begin = t * tile_rows * width;
+    return pixel_ids.subspan(
+        begin, std::min(pixel_count, begin + tile_rows * width) - begin);
+  };
+  // Band t only touches its own table and its own slice of
+  // pixel_to_unique, which holds band-local IDs until the relabel. A
+  // stream band scans into its own `local_ids` instead, so the next frame
+  // can reuse them.
+  pool().parallel_for(
+      0, tile_count,
+      [&](std::size_t t) {
+        obs::SpanScope span("encode_band", "core", "band", t);
+        Band& band = bands[t];
+        const std::size_t y_begin = t * tile_rows;
+        std::span<std::uint32_t> ids = band_ids(t);
+        if (stream != nullptr) {
+          // Reuse needs a hash match confirmed by an exact byte compare
+          // against the previous frame: a collision must not be able to
+          // corrupt labels.
+          const std::size_t byte_begin = y_begin * width * channels;
+          const std::size_t byte_count = ids.size() * channels;
+          const std::uint8_t* bytes = image.data() + byte_begin;
+          const std::uint64_t hash = fnv1a_bytes(bytes, byte_count);
+          const bool reuse =
+              band.valid && stream->has_prev && band.hash == hash &&
+              std::memcmp(bytes, stream->prev_frame.data() + byte_begin,
+                          byte_count) == 0;
+          span.arg("reused", reuse ? 1 : 0);
+          if (reuse) {
+            ++reused;
+            return;
           }
-          scan_band(image, state.position, shift, y_begin,
-                    std::min(height, y_begin + tile_rows), unique_ratio, band,
-                    ids);
-          band.valid = true;
-        },
-        /*grain=*/1);
-    merge_bands(bands, expected_unique(pixel_count, unique_ratio),
-                scratch.key_to_unique, scratch.origin, encoded.weights);
-    for (const Origin& o : scratch.origin) {
-      refs.push_back(bands[o.band].refs[o.local]);
-    }
-    pool().parallel_for(
-        0, tile_count,
-        [&](std::size_t t) {
-          const auto ids = band_ids(t);
-          relabel(bands[t].remap,
-                  stream != nullptr ? bands[t].local_ids : ids, ids);
-        },
-        /*grain=*/1);
-    uniques = refs;
+          band.hash = hash;
+          band.valid = false;
+          band.local_ids.resize(ids.size());
+          ids = band.local_ids;
+        }
+        scan_band(image, state.position, shift, y_begin,
+                  std::min(height, y_begin + tile_rows), unique_ratio, band,
+                  ids);
+        band.valid = true;
+      },
+      /*grain=*/1);
+  // Band order is serial order: concatenate the tables and offset each
+  // band's local ids by the uniques before it.
+  auto& refs = scratch.refs;
+  std::vector<std::uint32_t> first_id(tile_count);
+  for (std::size_t t = 0; t < tile_count; ++t) {
+    first_id[t] = static_cast<std::uint32_t>(refs.size());
+    refs.insert(refs.end(), bands[t].refs.begin(), bands[t].refs.end());
+    encoded.weights.insert(encoded.weights.end(), bands[t].weights.begin(),
+                           bands[t].weights.end());
   }
+  pool().parallel_for(
+      0, tile_count,
+      [&](std::size_t t) {
+        const auto ids = band_ids(t);
+        const std::span<const std::uint32_t> local =
+            stream != nullptr ? bands[t].local_ids : ids;
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          ids[i] = local[i] + first_id[t];
+        }
+      },
+      /*grain=*/1);
   // Images are validated non-empty, so pixel_count >= 1 here.
   scratch.last_unique_ratio =
-      static_cast<double>(uniques.size()) / static_cast<double>(pixel_count);
+      static_cast<double>(refs.size()) / static_cast<double>(pixel_count);
   if (stats != nullptr) {
     stats->tiles_total = tile_count;
     stats->tiles_reused = reused;
     stats->tiles_encoded = tile_count - stats->tiles_reused;
   }
 
-  // --- Pass 2: memoise and bind the global uniques. ---
-  bind_unique(uniques, state.position, state.color, scratch.memo, pool(),
+  // --- Pass 2: bind the global uniques. ---
+  bind_unique(refs, state.position, state.color, scratch.memo, pool(),
               encoded.intensities, encoded.unique_hvs);
   encoded.ops.bind_xor_bits +=
-      static_cast<std::uint64_t>(uniques.size()) * config_.dim;
+      static_cast<std::uint64_t>(refs.size()) * config_.dim;
 
   // Fault injection: corrupt the encoded pixel HVs at the configured
   // bit-error rate (models storing them in an approximate memory).
@@ -854,6 +773,7 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
   StreamState& s = *stream.impl_;
   const util::Stopwatch total_watch;
 
+  const EncoderState& state = state_for(frame);
   const std::uint64_t geometry = geometry_key(frame);
   if (s.geometry != geometry) {
     // New stream, reset(), or mid-stream geometry change: drop all
@@ -863,7 +783,8 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
     s.reset();
     s.frame_index = frame_index;
     s.geometry = geometry;
-    s.tile_rows = stream_tile_rows_for(frame.height());
+    s.tile_rows = tile_rows_for(frame.height(),
+                                state.position.block_height(), true);
     s.tile_count = (frame.height() + s.tile_rows - 1) / s.tile_rows;
   }
 
@@ -890,7 +811,6 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
     return StreamFrameResult{std::move(result), stats};
   }
 
-  const EncoderState& state = state_for(frame);
   const util::Stopwatch encode_watch;
   EncodedImage encoded = encode_impl(frame, state, s.scratch, &s, &stats);
   const double encode_seconds = encode_watch.seconds();

@@ -16,16 +16,18 @@
 //
 //   const auto results = session.segment_many(images);
 //
-// Inside one call, the encode is tiled into row bands (see
-// SegHdcConfig::tile_rows): the dedup scan, the weight histogram, and
-// the bind pass all parallelise across the pool, so a single large
-// image saturates the cores, not just batches of small ones.
+// Inside one call, the encode is tiled into row bands of whole position
+// blocks (see SegHdcConfig::tile_rows): the dedup scan, the weight
+// histogram, and the bind pass all parallelise across the pool, so a
+// single large image saturates the cores, not just batches of small
+// ones.
 //
 // Guarantees:
 //   - `segment` is bitwise-identical to `SegHdc::segment` for the same
 //     config and image (same label maps, margins, op counts), at every
-//     pool size and tile size — the band merge reproduces the serial
-//     row-major first-occurrence order exactly.
+//     pool size and tile size — bands in row order, each offset by the
+//     unique count before it, are the serial row-major first-occurrence
+//     order exactly.
 //   - `segment_many` returns exactly what a sequential `segment` loop
 //     returns, for every pool size (per-image work is deterministic and
 //     images never share mutable state).
@@ -117,7 +119,7 @@ class SegHdcSession {
   /// Opaque reusable encode arena for external pipeline drivers (the
   /// serving layer in src/serve/): one per worker thread, passed to the
   /// `encode`/`segment` overloads below, it keeps the dedup tables and
-  /// memoised position/color HVs warm across that worker's images
+  /// memoised color HVs warm across that worker's images
   /// without contending on the session-owned shared scratch. Movable,
   /// not copyable; NOT safe to share between concurrent calls. A
   /// default-constructed Scratch is cold but valid.
@@ -225,11 +227,12 @@ class SegHdcSession {
   ///     every run it stops at its first exact fixed point; a seed near
   ///     the previous solution can reach it in fewer iterations than a
   ///     cold start (`StreamFrameStats::kmeans_iterations`).
-  ///   - Row bands whose pixel bytes are unchanged since the previous
-  ///     frame (content hash + exact byte compare) reuse their cached
-  ///     dedup table instead of rescanning. Everything after the scan —
-  ///     merge, bind, fault injection, relabel — is the cold encode, so
-  ///     every frame binds all its unique points.
+  ///   - Row bands (whole position blocks, pinned per geometry) whose
+  ///     pixel bytes are unchanged since the previous frame (content
+  ///     hash + exact byte compare) reuse their cached dedup table and
+  ///     local ids instead of rescanning. Everything after the scan —
+  ///     the band-order concatenation, bind, fault injection, relabel —
+  ///     is the cold encode, so every frame binds all its unique points.
   ///   - A frame byte-identical to its predecessor replays the cached
   ///     previous result outright (bit-for-bit equal labels, zero
   ///     pipeline work).
@@ -240,7 +243,7 @@ class SegHdcSession {
   /// backend (band caches change what is recomputed, never what is
   /// computed). Thread-safe across *streams* (const session state is
   /// internally synchronised); calls on one Stream must be externally
-  /// ordered. Fault injection flips the same merged rows in the same
+  /// ordered. Fault injection flips the same unique rows in the same
   /// order as the cold encode, so it keeps the band cache.
   StreamFrameResult segment_stream(const img::ImageU8& frame,
                                    Stream& stream) const;
@@ -262,10 +265,11 @@ class SegHdcSession {
   /// builds resolve to one winner).
   const EncoderState& state_for(const img::ImageU8& image) const;
 
-  /// The one encode, cold and stream: one band scans straight into the
-  /// global table; several bands scan in parallel, merge in band order
-  /// and relabel. Either way the global uniques are then memoised, bound
-  /// and fault-injected. A stream frame passes its `stream` (band layout,
+  /// The one encode, cold and stream, one band or many: the bands scan
+  /// in parallel, their tables are concatenated in band order, and each
+  /// pixel's global id is its band-local id plus the unique count of the
+  /// bands before it. The global uniques are then bound and
+  /// fault-injected. A stream frame passes its `stream` (band layout,
   /// previous frame) with `scratch` = its own arena, whose bands keep
   /// their tables: only bands whose bytes changed are rescanned, and the
   /// output is bit-identical to a cold encode. `stats` (stream frames
@@ -295,15 +299,15 @@ class SegHdcSession {
   SegmentationResult finalize_impl(EncodedImage encoded,
                                    const FinalizeOptions& options) const;
 
-  /// Band height used to tile this image's encode passes (>= 1).
-  std::size_t tile_rows_for(std::size_t height) const;
-
-  /// Band height for the STREAM cache layout. Streams never collapse to
-  /// one band on small pools: bands are the reuse granularity there —
-  /// a single band can only ever reuse a byte-identical frame, which
-  /// the replay shortcut already covers. Purely a performance knob like
-  /// tile_rows_for: labels are identical for every value.
-  std::size_t stream_tile_rows_for(std::size_t height) const;
+  /// Band height used to tile an encode of `height` rows whose position
+  /// blocks are `block` rows tall: the override, else the auto size,
+  /// rounded up to whole blocks (>= 1). A `stream` layout never
+  /// collapses to one band on small pools: bands are the reuse
+  /// granularity there — a single band can only ever reuse a
+  /// byte-identical frame, which the replay shortcut already covers.
+  /// Purely a performance knob: labels are identical for every value.
+  std::size_t tile_rows_for(std::size_t height, std::size_t block,
+                            bool stream) const;
 
   EncodeScratch& shared_scratch() const;
   util::ThreadPool& pool() const;

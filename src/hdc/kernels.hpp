@@ -71,7 +71,8 @@ simd::BoundedScan hamming_words_bounded(std::span<const std::uint64_t> a,
                                         std::span<const std::uint64_t> b,
                                         std::size_t bound);
 
-/// dst = a ^ b (the HDC binding operator). Requires equal sizes.
+/// dst = a ^ b (the HDC binding operator). Requires equal sizes; dst
+/// may alias a or b (the XOR is word by word).
 void xor_words(std::span<std::uint64_t> dst,
                std::span<const std::uint64_t> a,
                std::span<const std::uint64_t> b);

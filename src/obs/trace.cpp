@@ -113,11 +113,7 @@ void emit_complete(const char* name, const char* cat, double seconds,
   tracer.record(event);
 }
 
-void apply_trace_config(bool force_on) {
-  if (force_on) {
-    Tracer::instance().set_enabled(true);
-    return;
-  }
+void apply_trace_config() {
   const char* env = std::getenv("SEGHDC_TRACE");
   if (env == nullptr || *env == '\0') {
     return;

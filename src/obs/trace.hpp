@@ -199,14 +199,13 @@ class SpanScope {
 void emit_complete(const char* name, const char* cat, double seconds,
                    const char* arg_key, std::uint64_t arg_value);
 
-/// Config/env wiring for the process-wide tracer, called whenever a
-/// SegHdcSession is constructed. `force_on` (SegHdcConfig::trace) turns
-/// tracing on unconditionally; otherwise SEGHDC_TRACE is read: "1"
-/// enables, "0"/unset/empty leaves the current state alone, and any
-/// other value throws std::invalid_argument (malformed observability
-/// overrides must not silently no-op, same contract as SEGHDC_TILE_ROWS
-/// and SEGHDC_KERNEL_BACKEND).
-void apply_trace_config(bool force_on);
+/// Env wiring for the process-wide tracer, called whenever a
+/// SegHdcSession is constructed. SEGHDC_TRACE is read: "1" enables,
+/// "0"/unset/empty leaves the current state alone, and any other value
+/// throws std::invalid_argument (malformed observability overrides must
+/// not silently no-op, same contract as SEGHDC_TILE_ROWS and
+/// SEGHDC_KERNEL_BACKEND).
+void apply_trace_config();
 
 /// RAII capture window: enables tracing and clears old events on
 /// construction, restores the prior enabled state on destruction.

@@ -20,7 +20,7 @@
 // encode bands, K-Means assignment/update) out onto the configured
 // util::ThreadPool, which keeps an idle server's latency low. Each
 // worker owns a reusable SegHdcSession::Scratch arena, so sustained
-// traffic stops re-deriving position/color HVs exactly like
+// traffic stops re-deriving color HVs exactly like
 // `segment_many` workers do.
 //
 // Guarantees:

@@ -187,13 +187,6 @@ TEST(Trace, MalformedEnvIsAHardError) {
   EXPECT_NO_THROW(core::SegHdcSession{config});
   EXPECT_TRUE(obs::trace_enabled());
 
-  // config.trace forces on without consulting the env at all.
-  obs::Tracer::instance().set_enabled(false);
-  ::setenv("SEGHDC_TRACE", "garbage", 1);
-  config.trace = true;
-  EXPECT_NO_THROW(core::SegHdcSession{config});
-  EXPECT_TRUE(obs::trace_enabled());
-
   if (had) {
     ::setenv("SEGHDC_TRACE", saved.c_str(), 1);
   } else {
@@ -413,8 +406,7 @@ img::ImageU8 scene_with_square(std::size_t width, std::size_t height,
 
 TEST(TraceDeterminism, GoldenBatchHashUnchangedWithTracingOn) {
   const obs::TraceSession trace;
-  auto config = golden_config();
-  config.trace = true;  // both enabling paths exercised
+  const auto config = golden_config();
   util::ThreadPool pool(3);
   const core::SegHdcSession session(config,
                                     core::SegHdcSession::Options{&pool});

@@ -6,9 +6,8 @@
 // tails), the word-blocked CountPlanes dot must equal the bit-serial
 // dot on every backend, and — the golden gate — the PR-2 batch label
 // hash must be identical under every backend forced via the dispatch
-// override. Plus registry/dispatch behaviour: selection, forcing,
-// unknown-name rejection, and the SegHdcConfig::kernel_backend
-// plumbing.
+// override. Plus registry/dispatch behaviour: selection, forcing, and
+// unknown-name rejection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -537,20 +536,6 @@ TEST(SimdBackends, GoldenLabelHashIdenticalUnderEveryBackend) {
     EXPECT_EQ(golden_batch_hash(), kGoldenBatchHash)
         << "label hash drifted under backend " << backend->name;
   }
-}
-
-TEST(SimdBackends, ConfigKernelBackendOverridePlumbs) {
-  const BackendSelectionGuard guard;
-  core::SegHdcConfig config;
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 2;
-  config.kernel_backend = "scalar";
-  const core::SegHdcSession session(config);
-  EXPECT_STREQ(simd::active_backend().name, "scalar");
-
-  config.kernel_backend = "no-such-backend";
-  EXPECT_THROW(core::SegHdcSession{config}, std::invalid_argument);
 }
 
 TEST(SimdBackends, StreamingSegmentManyMatchesCollectingOverload) {

@@ -137,25 +137,26 @@ TEST(Stream, FirstFrameIsExactlyTheColdPath) {
 }
 
 TEST(Stream, WarmFrameWithOneDirtyBandEncodesLikeCold) {
-  // 3-row bands over 32 rows: the last band is short (rows 30-31). The
-  // second frame changes one pixel there only, so the warm encode scans
-  // that band alone and merges its table with ten cached ones. From the
-  // merge on it is the cold encode: it binds every merged unique point.
-  // The encode alone decides unique_points and bind_xor_bits (warm
-  // K-Means seeding touches neither), so both match a cold encode.
+  // tile_rows 3 rounds up to one whole 4-row position block (beta 4), so
+  // 30 rows make 8 bands and the last is short (rows 28-29). The second
+  // frame changes one pixel there only, so the warm encode scans that
+  // band alone and appends its table to seven cached ones. From there on
+  // it is the cold encode: it binds every unique point. The encode alone
+  // decides unique_points and bind_xor_bits (warm K-Means seeding
+  // touches neither), so both match a cold encode.
   auto config = stream_config();
   config.tile_rows = 3;
   const core::SegHdcSession session(config);
-  const auto first = scene_background(32, 32);
+  const auto first = scene_background(32, 30);
   auto second = first;
-  second(5, 31) = 90;
+  second(5, 29) = 90;
 
   core::SegHdcSession::Stream stream;
   session.segment_stream(first, stream);
   const auto warm = session.segment_stream(second, stream);
   const auto cold = session.segment(second);
 
-  EXPECT_EQ(warm.stats.tiles_total, 11u);
+  EXPECT_EQ(warm.stats.tiles_total, 8u);
   EXPECT_EQ(warm.stats.tiles_reused, warm.stats.tiles_total - 1);
   EXPECT_EQ(warm.stats.tiles_encoded, 1u);
   EXPECT_EQ(warm.result.unique_points, cold.unique_points);

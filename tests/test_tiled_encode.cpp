@@ -73,8 +73,9 @@ void expect_encode_identical(const core::EncodedImage& expected,
 // unique-point IDs (hence every downstream label) must replicate the
 // serial row-major first-occurrence order for every tiling, on edge
 // geometries that stress the band split — heights not divisible by
-// tile_rows, single-row and single-column images, tiles taller than
-// the image.
+// tile_rows or by the position block, single-row and single-column
+// images, tiles and blocks taller than the image, and one-row bands of
+// an encoding without blocks.
 TEST(TiledEncode, UniqueIdsMatchUntiledOnEdgeGeometries) {
   struct Case {
     std::size_t width, height, channels;
@@ -85,25 +86,43 @@ TEST(TiledEncode, UniqueIdsMatchUntiledOnEdgeGeometries) {
       {40, 1, 3},   // single row: every tile_rows > height
       {17, 16, 1},  // even split
   };
+  struct Encoding {
+    core::PositionEncoding encoding;
+    std::size_t beta;
+  };
+  const std::vector<Encoding> encodings{
+      {core::PositionEncoding::kBlockDecayManhattan, 3},
+      {core::PositionEncoding::kBlockDecayManhattan, 7},   // divides no height
+      {core::PositionEncoding::kBlockDecayManhattan, 64},  // taller than all
+      {core::PositionEncoding::kManhattan, 3},  // 1-row blocks: beta unused
+  };
   const std::vector<std::size_t> tile_rows_values{1, 3, 5, 1000};
-  for (const auto& c : cases) {
-    const auto image = textured_image(c.width, c.height, c.channels);
-    auto untiled_config = small_config();
-    untiled_config.tile_rows = c.height;  // one band: the serial scan
-    const core::SegHdcSession untiled(untiled_config);
-    const auto expected = untiled.encode(image);
-    for (const std::size_t tile_rows : tile_rows_values) {
-      for (const std::size_t threads : {1u, 2u, 4u}) {
-        SCOPED_TRACE(std::to_string(c.width) + "x" + std::to_string(c.height) +
-                     "x" + std::to_string(c.channels) + " tile_rows=" +
-                     std::to_string(tile_rows) + " threads=" +
-                     std::to_string(threads));
-        util::ThreadPool pool(threads);
-        auto config = small_config();
-        config.tile_rows = tile_rows;
-        const core::SegHdcSession session(
-            config, core::SegHdcSession::Options{&pool});
-        expect_encode_identical(expected, session.encode(image));
+  for (const auto& e : encodings) {
+    auto base_config = small_config();
+    base_config.position_encoding = e.encoding;
+    base_config.beta = e.beta;
+    for (const auto& c : cases) {
+      const auto image = textured_image(c.width, c.height, c.channels);
+      auto untiled_config = base_config;
+      untiled_config.tile_rows = c.height;  // one band: the serial scan
+      const core::SegHdcSession untiled(untiled_config);
+      const auto expected = untiled.encode(image);
+      for (const std::size_t tile_rows : tile_rows_values) {
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          SCOPED_TRACE(std::to_string(c.width) + "x" +
+                       std::to_string(c.height) + "x" +
+                       std::to_string(c.channels) + " beta=" +
+                       std::to_string(e.beta) + " encoding=" +
+                       std::to_string(static_cast<int>(e.encoding)) +
+                       " tile_rows=" + std::to_string(tile_rows) +
+                       " threads=" + std::to_string(threads));
+          util::ThreadPool pool(threads);
+          auto config = base_config;
+          config.tile_rows = tile_rows;
+          const core::SegHdcSession session(
+              config, core::SegHdcSession::Options{&pool});
+          expect_encode_identical(expected, session.encode(image));
+        }
       }
     }
   }
